@@ -1,15 +1,15 @@
 """The Kalmbach construction K(L) over finite bounded lattices.
 
-Elements of K(L) are even-length strictly increasing sequences in L.  The
-order is built block-by-block: every comparability lives inside the Boolean
-algebra K(C) of some maximal chain C of L, where the order is subset
-containment of half-open-interval unions.  The construction is cross-checked
-against the definitional sequence order (exhaustively for small K, on a
-seeded sample for large K).
+Elements of K(L) are even-length strictly increasing sequences in L, and
+x <= y when every interval [x_2i, x_2i+1] of x lies inside some interval
+[y_2j, y_2j+1] of y.  The order is built straight from that definition,
+factored through the intervals of L (see ``kalmbach``), and checked against
+the scalar ``kleq_terms`` (exhaustively for small K, on a seeded sample for
+large K).
 
-The resulting structure keeps packed bitset up-sets and down-sets, so joins
-and meets are computed as the first upper / last lower bound along a linear
-extension without materialising quadratic tables.
+Up-sets and down-sets are packed bitsets with columns in a linear extension,
+so joins and meets are the first upper / last lower bound along it without
+materialising quadratic tables.
 """
 
 from __future__ import annotations
@@ -18,13 +18,17 @@ import random
 
 import numpy as np
 
-from .errors import NotOML, TooLarge
-from .lattice import BoundedLattice
-from .ortho import OrthoLattice, blocks, ortholattice
+from .errors import TooLarge
+from .lattice import BoundedLattice, maximal_chains
+from .ortho import blocks, ortholattice
 
 DEFAULT_K_CAP = 200_000
 DEFAULT_VERIFY_CAP = 1500
 DEFAULT_VERIFY_SAMPLE = 200_000
+# The up-set and down-set tables take 2 * n * ceil(n / 8) bytes; a K(L) whose
+# tables would pass this raises TooLarge before anything is allocated.
+MAX_TABLE_BYTES = 1 << 30
+_CHECK_CHUNK = 1 << 14  # pairs per vectorised order-check step
 
 _FIRSTBIT = np.array([(i & -i).bit_length() - 1 if i else 8 for i in range(256)],
                      dtype=np.int64)
@@ -54,11 +58,13 @@ def kleq(L, x_names, y_names):
     return kleq_terms(L.leq, x, y)
 
 
+def _perp_terms(L, terms, rank):
+    return tuple(sorted(set(terms) ^ {L.bottom, L.top}, key=rank.__getitem__))
+
+
 def kperp_terms(L, terms):
     """Symmetric difference of the term set with the bounds, sorted in L."""
-    ts = set(terms) ^ {L.bottom, L.top}
-    rank = {e: k for k, e in enumerate(L.linear_extension())}
-    return tuple(sorted(ts, key=rank.__getitem__))
+    return _perp_terms(L, terms, {e: k for k, e in enumerate(L.linear_extension())})
 
 
 def kperp(L, x_names):
@@ -86,6 +92,33 @@ def _enumerate_even_chains(L, cap):
 
     walk((), 0)
     return out
+
+
+def _interval_terms(L, seqs):
+    """Padded (n, p) arrays of the interval ends (x_2i, x_2i+1) of each seq.
+
+    The padding (top, bottom) lies inside every interval and contains none.
+    """
+    pad = (L.top, L.bottom) * max(1, max(map(len, seqs)) // 2)
+    terms = np.array([s + pad[len(s) :] for s in seqs], dtype=np.int64)
+    return terms[:, 0::2], terms[:, 1::2]
+
+
+def _pair_blocks(n, sample, seed):
+    """(i, j) index arrays of the order-check pairs, a block at a time.
+
+    All n * n pairs in row-major order when ``sample`` is None, else the pairs
+    ``(rng.randrange(n), rng.randrange(n))`` of ``rng = random.Random(seed)``.
+    """
+    if sample is None:
+        for s in range(0, n * n, _CHECK_CHUNK):
+            yield np.divmod(np.arange(s, min(s + _CHECK_CHUNK, n * n)), n)
+        return
+    rng = random.Random(seed)
+    for s in range(0, sample, _CHECK_CHUNK):
+        c = min(_CHECK_CHUNK, sample - s)
+        draws = np.array([rng.randrange(n) for _ in range(2 * c)], dtype=np.int64)
+        yield draws[0::2], draws[1::2]
 
 
 class KalmbachOML:
@@ -210,46 +243,42 @@ class KalmbachOML:
     # -- verification ---------------------------------------------------
 
     def check_order_against_definition(self, sample=None, seed=0):
-        """Compare the built order with definitional kleq.
+        """Compare the built up-sets and down-sets with definitional kleq.
 
         Exhaustive when ``sample`` is None, else on a seeded random sample of
-        index pairs.  Raises AssertionError on any disagreement.
+        index pairs.  Pairs are evaluated in vectorised blocks; raises
+        AssertionError at the first disagreeing pair.
         """
         leq = self.base.leq
-        if sample is None:
-            pairs = ((i, j) for i in range(self.n) for j in range(self.n))
-        else:
-            rng = random.Random(seed)
-            pairs = (
-                (rng.randrange(self.n), rng.randrange(self.n))
-                for _ in range(sample)
-            )
-        for i, j in pairs:
-            if self.leq_idx(i, j) != kleq_terms(leq, self.seqs[i], self.seqs[j]):
+        lo, hi = _interval_terms(self.base, self.seqs)
+        for i, j in _pair_blocks(self.n, sample, seed):
+            # kleq_terms over the block: every interval of x inside one of y
+            inside = (leq[lo[j][:, None, :], lo[i][:, :, None]]
+                      & leq[hi[i][:, :, None], hi[j][:, None, :]])
+            want = inside.any(axis=2).all(axis=1)
+            ri, rj = self._rank[i], self._rank[j]
+            up = (self._up[i, rj >> 3] >> (rj & 7)) & 1
+            down = (self._down[j, ri >> 3] >> (ri & 7)) & 1
+            bad = np.flatnonzero((up != want) | (down != want))
+            if len(bad):
+                x, y = int(i[bad[0]]), int(j[bad[0]])
                 raise AssertionError(
-                    f"order mismatch at ({self.names[i]}, {self.names[j]})"
+                    f"order mismatch at ({self.names[x]}, {self.names[y]})"
                 )
 
     def check_orthomodular(self, chunk=4096):
         """Exhaustive orthomodular-law check over all comparable pairs."""
         worst = None
         for x in range(self.n):
-            ys = np.where(self.up_row(x))[0]
-            ys = self._ext[ys]
+            ys = self._ext[np.flatnonzero(self.up_row(x))]
             ys = ys[ys != x]
             px = self.perp(x)
             for s in range(0, len(ys), chunk):
                 batch = ys[s : s + chunk]
-                m = self.meet_batch(px, batch)
-                rebuilt = np.empty(len(batch), dtype=np.int64)
-                for k, mm in enumerate(m):
-                    rebuilt[k] = self.join_idx(x, int(mm))
-                bad = rebuilt != batch
-                if bad.any():
-                    for y in batch[bad]:
-                        cand = (self.names[x], self.names[int(y)])
-                        if worst is None or cand < worst:
-                            worst = cand
+                rebuilt = self.join_batch(x, self.meet_batch(px, batch))
+                for y in batch[rebuilt != batch]:
+                    cand = (self.names[x], self.names[int(y)])
+                    worst = cand if worst is None else min(worst, cand)
         self.orthomodular = worst is None
         self.orthomodular_witness = worst
         return self.orthomodular, worst
@@ -264,102 +293,76 @@ class KalmbachOML:
                 f"{max_table_size}"
             )
         full = np.zeros((self.n, self.n), dtype=bool)
-        for i in range(self.n):
-            full[i][self._ext] = self.up_row(i).astype(bool)
+        bits = np.unpackbits(self._up, axis=1, bitorder="little")
+        full[:, self._ext] = bits[:, : self.n]
         L = BoundedLattice.from_leq(self.names, full, max_size=max_table_size)
         perp_map = {self.names[i]: self.names[self.perp(i)] for i in range(self.n)}
         return ortholattice(L, perp_map)
-
-
-def _maximal_chains_idx(L):
-    succ = [np.where(L.cover_matrix[u])[0] for u in range(L.n)]
-    out = []
-
-    def walk(u, chain):
-        if u == L.top:
-            out.append(tuple(chain))
-            return
-        for v in succ[u]:
-            walk(int(v), chain + [int(v)])
-
-    walk(L.bottom, [L.bottom])
-    return out
 
 
 def kalmbach(L, cap=DEFAULT_K_CAP, verify_cap=DEFAULT_VERIFY_CAP,
              verify_sample=DEFAULT_VERIFY_SAMPLE, check_om=True, seed=0):
     """Construct K(L) for a finite bounded lattice L.
 
-    Raises TooLarge when the even-length-chain count exceeds ``cap``.  The
-    order construction is verified against the definitional sequence order
-    (exhaustively up to ``verify_cap`` elements, sampled beyond), and the
-    orthomodular law is checked exhaustively unless ``check_om`` is False.
+    Raises TooLarge when the even-length-chain count exceeds ``cap`` or the
+    up/down tables would pass MAX_TABLE_BYTES.  The order is the definitional
+    one, factored through the intervals of L: U[a, b] is the set of sequences
+    y with some y_2j <= a and b <= y_2j+1, up(x) is the AND of U[x_2i, x_2i+1]
+    over the intervals of x, and down(y) = {x : x' in up(y')}, because x <= y
+    exactly when y' <= x'.  Columns follow the linear extension that sorts
+    elements stably by down-set size.  The tables are checked against
+    ``kleq_terms`` (exhaustively up to ``verify_cap`` elements, on
+    ``verify_sample`` seeded pairs beyond), and the orthomodular law is
+    checked exhaustively unless ``check_om`` is False.
     """
     seqs = _enumerate_even_chains(L, cap)
     n = len(seqs)
-    kidx = {s: i for i, s in enumerate(seqs)}
-    rank_base = {e: k for k, e in enumerate(L.linear_extension())}
-
-    max_chains = _maximal_chains_idx(L)
     nb = (n + 7) // 8
-    up_raw = np.zeros((n, nb), dtype=np.uint8)
+    if 2 * n * nb > MAX_TABLE_BYTES:
+        raise TooLarge(
+            f"K(L) has {n} elements; its up/down tables would take "
+            f"{2 * n * nb} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
+        )
+    kidx = {s: i for i, s in enumerate(seqs)}
+    rank = {e: k for k, e in enumerate(L.linear_extension())}
+    perp_idx = np.array([kidx[_perp_terms(L, s, rank)] for s in seqs],
+                        dtype=np.int64)
 
-    for C in max_chains:
-        c = len(C)
-        if c - 1 > 63:
-            raise TooLarge("maximal chain too long for block codes")
-        members = []
-        codes = []
-        for mask in range(1 << c):
-            if bin(mask).count("1") % 2:
-                continue
-            ts = [k for k in range(c) if mask >> k & 1]
-            code = 0
-            for a, b in zip(ts[::2], ts[1::2]):
-                code |= ((1 << b) - 1) ^ ((1 << a) - 1)
-            members.append(kidx[tuple(C[k] for k in ts)])
-            codes.append(code)
-        codes = np.array(codes, dtype=np.uint64)
-        members = np.array(members, dtype=np.int64)
-        contained = (codes[:, None] & ~codes[None, :]) == 0
-        for r in range(len(members)):
-            ys = members[contained[r]]
-            contrib = np.zeros(nb, dtype=np.uint8)
-            np.bitwise_or.at(contrib, ys >> 3, (1 << (ys & 7)).astype(np.uint8))
-            up_raw[members[r]] |= contrib
+    # U[k] for the k-th strictly comparable pair (a, b) of L; the last row is
+    # all of K and stands for the padding interval (top, bottom).
+    lo, hi = _interval_terms(L, seqs)
+    a_s, b_s = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
+    U = np.ones((len(a_s) + 1, n), dtype=bool)
+    for k, (a, b) in enumerate(zip(a_s, b_s)):
+        U[k] = (L.leq[lo, a] & L.leq[b, hi]).any(axis=1)
+    interval_id = np.full((L.n, L.n), len(a_s))
+    interval_id[a_s, b_s] = np.arange(len(a_s))
+    up_ids = interval_id[lo, hi]
+    down_ids = up_ids[perp_idx]
 
-    # transpose to down-sets and collect down-set sizes, chunked.  Chunks are
-    # byte-aligned so each packed transpose lands on a byte slice of down_raw.
-    down_raw = np.zeros((n, nb), dtype=np.uint8)
-    down_sizes = np.zeros(n, dtype=np.int64)
-    step = max(8, ((1 << 25) // max(n, 1)) // 8 * 8)
-    for s in range(0, n, step):
-        rows = np.unpackbits(up_raw[s : s + step], axis=1, bitorder="little")[:, :n]
-        down_sizes += rows.sum(axis=0, dtype=np.int64)
-        packed = np.packbits(rows.T, axis=1, bitorder="little")
-        down_raw[:, s >> 3 : (s >> 3) + packed.shape[1]] |= packed
+    def and_rows(cols, ids, out):
+        """out[r] = AND of the U rows ids[r], with U's columns taken at cols."""
+        table = np.packbits(U[:, cols], axis=1, bitorder="little")
+        step = max(1, (1 << 22) // nb)
+        for s in range(0, n, step):
+            block = out[s : s + step]
+            block[:] = table[ids[s : s + step, 0]]
+            for k in ids[s : s + step, 1:].T:
+                block &= table[k]
+        return out
 
-    ext = np.argsort(down_sizes, kind="stable")
-    # permute columns of both matrices into linear-extension order, chunked
-    up = np.empty_like(up_raw)
-    down = np.empty_like(down_raw)
-    for s in range(0, n, step):
-        rows = np.unpackbits(up_raw[s : s + step], axis=1, bitorder="little")[:, :n]
-        up[s : s + step] = np.packbits(rows[:, ext], axis=1, bitorder="little")[:, :nb]
-        rows = np.unpackbits(down_raw[s : s + step], axis=1, bitorder="little")[:, :n]
-        down[s : s + step] = np.packbits(rows[:, ext], axis=1, bitorder="little")[:, :nb]
-    del up_raw, down_raw
+    up = np.empty((n, nb), dtype=np.uint8)
+    down = np.empty((n, nb), dtype=np.uint8)
+    # |down(y)| = |up(y')| in any column order; up holds the byte popcounts
+    sizes = np.bitwise_count(and_rows(slice(None), down_ids, down), out=up)
+    ext = np.argsort(sizes.sum(axis=1), kind="stable")
+    and_rows(ext, up_ids, up)
+    and_rows(perp_idx[ext], down_ids, down)
 
-    perp_idx = np.array(
-        [kidx[kperp_terms(L, s)] for s in seqs], dtype=np.int64
-    )
-
-    K = KalmbachOML(L, tuple(seqs), up, down, np.asarray(ext), perp_idx,
-                    tuple(max_chains))
-    if n <= verify_cap:
-        K.check_order_against_definition()
-    else:
-        K.check_order_against_definition(sample=verify_sample, seed=seed)
+    max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
+    K = KalmbachOML(L, tuple(seqs), up, down, ext, perp_idx, max_chains)
+    K.check_order_against_definition(
+        sample=None if n <= verify_cap else verify_sample, seed=seed)
     if check_om:
         K.check_orthomodular()
     return K
@@ -370,10 +373,8 @@ def kalmbach(L, cap=DEFAULT_K_CAP, verify_cap=DEFAULT_VERIFY_CAP,
 
 def katoms_check(K):
     """Atoms of K(L) are exactly the two-term sequences over covers of L."""
-    expected = set()
-    covm = K.base.cover_matrix
-    for a, b in np.argwhere(covm):
-        expected.add(K.index(seq_name(K.base, (int(a), int(b)))))
+    covers = np.argwhere(K.base.cover_matrix)
+    expected = {K.index(seq_name(K.base, (int(a), int(b)))) for a, b in covers}
     return set(K.atoms_idx()) == expected
 
 
@@ -381,16 +382,10 @@ def kblocks_check(K, max_table_size=2048):
     """Blocks of K(L) correspond bijectively to maximal chains via C -> K(C)."""
     OL = K.as_ortholattice(max_table_size)
     clique_blocks = {frozenset(b.elements) for b in blocks(OL)}
-    chain_blocks = set()
-    for C in K.max_chains:
-        cset = set(C)
-        chain_blocks.add(
-            frozenset(
-                K.names[i]
-                for i, s in enumerate(K.seqs)
-                if set(s) <= cset
-            )
-        )
+    chain_blocks = {
+        frozenset(K.names[i] for i, s in enumerate(K.seqs) if set(s) <= C)
+        for C in map(set, K.max_chains)
+    }
     return clique_blocks == chain_blocks and len(chain_blocks) == len(K.max_chains)
 
 

@@ -206,7 +206,6 @@ def maximal_chains(L):
     succ = [sorted(np.where(L.cover_matrix[u])[0], key=lambda v: L.names[v])
             for u in range(L.n)]
     out = []
-    stack = [(L.bottom, [L.bottom])]
 
     def walk(u, chain):
         if u == L.top:

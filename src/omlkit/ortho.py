@@ -192,7 +192,6 @@ def _verify_boolean_subalgebra(OL, members):
     if not (np.isin(mm, mem).all() and np.isin(jj, mem).all()):
         raise AssertionError("block candidate not closed under meet/join")
     # distributivity on all triples of members
-    pos = {int(e): k for k, e in enumerate(mem)}
     remap = np.full(L.n, -1, dtype=np.int64)
     remap[mem] = np.arange(len(mem))
     m_loc = remap[mm]
@@ -395,7 +394,6 @@ def _interval_height(L, xi, yi):
     members = np.where(L.leq[xi] & L.leq[:, yi])[0]
     if len(members) <= 2:
         return len(members) - 1
-    pos = {int(m): k for k, m in enumerate(members)}
     order = sorted(members, key=lambda m: int(L.leq[:, m].sum()))
     h = {}
     for m in order:

@@ -1,16 +1,23 @@
+import copy
 import itertools
+import random
+import re
+import tracemalloc
 
 import pytest
 
 from omlkit.corpus import chain, diamond, mo
 from omlkit.errors import TooLarge
 from omlkit.kalmbach import (
+    MAX_TABLE_BYTES,
+    _pair_blocks,
     kalmbach,
     katoms_check,
     kblocks_check,
     kcommute_check,
     kjoin_by_truncation,
     kleq,
+    kleq_terms,
     kperp,
     phi_chain,
     seq_name,
@@ -18,6 +25,7 @@ from omlkit.kalmbach import (
 from omlkit.lattice import find_isomorphism
 from omlkit.corpus import boolean_cube
 from omlkit.ortho import is_orthomodular
+from omlkit.rn import rn_lattice
 
 
 def test_chain_law_sizes():
@@ -180,3 +188,91 @@ def test_orthomodularity_verdict_stored(kalmbach_corpus):
     for nm, K in kalmbach_corpus.items():
         ok, w = is_orthomodular(K.as_ortholattice()) if K.n <= 256 else (True, None)
         assert ok == K.orthomodular, nm
+
+
+def test_table_limit_raises_before_allocating():
+    # K(rn 5) has 199,680 elements; its tables would take about 10 GB
+    n = 199_680
+    projected = 2 * n * ((n + 7) // 8)
+    L = rn_lattice(5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as exc:
+            kalmbach(L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(projected) in str(exc.value)
+    assert str(MAX_TABLE_BYTES) in str(exc.value)
+    assert peak < MAX_TABLE_BYTES // 4
+
+
+def test_leq_idx_matches_scalar_definition(corpus, kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        leq = corpus[nm].leq
+        for i, x in enumerate(K.seqs):
+            for j, y in enumerate(K.seqs):
+                assert K.leq_idx(i, j) == kleq_terms(leq, x, y), (nm, i, j)
+
+
+def test_pair_blocks_match_the_scalar_generators():
+    n = 200  # n * n and the sample both span more than one block
+    blocks = _pair_blocks(n, None, 0)
+    got = [(int(i), int(j)) for bi, bj in blocks for i, j in zip(bi, bj)]
+    assert got == [(i, j) for i in range(n) for j in range(n)]
+    rng = random.Random(7)
+    expected = [(rng.randrange(n), rng.randrange(n)) for _ in range(40_000)]
+    blocks = _pair_blocks(n, 40_000, 7)
+    got = [(int(i), int(j)) for bi, bj in blocks for i, j in zip(bi, bj)]
+    assert got == expected
+
+
+def _flipped(K, table, i, j):
+    """A copy of K with the bit of pair (i, j) flipped in _up or _down."""
+    bad = copy.copy(K)
+    rows = getattr(K, table).copy()
+    r = int(K._rank[j])
+    rows[i, r >> 3] ^= 1 << (r & 7)
+    setattr(bad, table, rows)
+    return bad
+
+
+def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
+    K = kalmbach_corpus["2^3"]
+    i, j = 3, K.n - 2
+    message = re.escape(f"order mismatch at ({K.names[i]}, {K.names[j]})")
+    with pytest.raises(AssertionError, match=message):
+        _flipped(K, "_up", i, j).check_order_against_definition()
+    with pytest.raises(AssertionError, match=message):
+        _flipped(K, "_down", j, i).check_order_against_definition()
+    # sampled: raises exactly when the flipped pair is among the drawn pairs
+    rng = random.Random(5)
+    drawn = {(rng.randrange(K.n), rng.randrange(K.n)) for _ in range(50)}
+    (i, j) = min(drawn)
+    with pytest.raises(AssertionError, match="order mismatch"):
+        _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
+    (i, j) = min(set(itertools.product(range(K.n), repeat=2)) - drawn)
+    _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
+
+
+def _scalar_orthomodular(K):
+    worst = None
+    for x in range(K.n):
+        for y in range(K.n):
+            if y != x and K.leq_idx(x, y):
+                if K.join_idx(x, K.meet_idx(K.perp(x), y)) != y:
+                    cand = (K.names[x], K.names[y])
+                    worst = cand if worst is None else min(worst, cand)
+    return worst is None, worst
+
+
+def test_orthomodular_check_matches_scalar_loop(kalmbach_corpus):
+    K = kalmbach_corpus["2^3"]
+    assert K.check_orthomodular() == _scalar_orthomodular(K) == (True, None)
+    bad = copy.copy(K)
+    bad.perp_idx = K.perp_idx.copy()
+    a, b = K.atoms_idx()[:2]
+    bad.perp_idx[[a, b]] = bad.perp_idx[[b, a]]
+    verdict = bad.check_orthomodular()
+    assert verdict == _scalar_orthomodular(bad)
+    assert verdict[0] is False
