@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 from .errors import OmlkitError
 from .hahn import GammaExp, tclass
-from .kalmbach import kalmbach, katoms_check, kblocks_check, kcommute_check
+from .kalmbach import (
+    MAX_TABLE_BYTES,
+    kalmbach,
+    katoms_check,
+    kblocks_check,
+    kcommute_check,
+)
 from .keller import (
     anisotropy_check,
     basis_vector,
@@ -235,9 +241,12 @@ def _parser():
     r = sub.add_parser("rn", help="ladder truncation lattices and reports")
     r.add_argument("--rows", type=int, required=True)
     r.add_argument("--kalmbach", action="store_true",
-                   help="emit K of the truncation instead of the base")
+                   help="emit K of the truncation instead of the base; a K "
+                        f"whose tables would pass {MAX_TABLE_BYTES} bytes "
+                        "(rows >= 5) raises")
     r.add_argument("--report", action="store_true",
-                   help="emit the structure report (implies --kalmbach)")
+                   help="emit the structure report (implies --kalmbach, "
+                        "with its table limit)")
     r.add_argument("--out", dest="output", metavar="FILE")
 
     h = sub.add_parser("hs", help="horizontal sum of ortholattice files")

@@ -152,19 +152,19 @@ def lattice_corpus():
     return out
 
 
-def oml_corpus(max_boolean=5, max_mo=4, kalmbach_bases=("C3", "C4", "M2")):
-    """Small orthomodular lattices for the structure-theorem checks.
+def oml_corpus():
+    """13 small orthomodular lattices for the structure-theorem checks.
 
-    Includes the Boolean cubes 2^1..2^max_boolean, MO_1..MO_max_mo, the
-    product MO2 x 2^1, and Kalmbach algebras of the named corpus bases.
+    The Boolean cubes 2^1..2^5, MO_1..MO_4, the product MO2 x 2^1, and the
+    Kalmbach algebras of the corpus bases C3, C4 and M2.
     """
     out = {}
-    for n in range(1, max_boolean + 1):
+    for n in range(1, 6):
         out[f"2^{n}"] = boolean_oml(n)
-    for k in range(1, max_mo + 1):
+    for k in range(1, 5):
         out[f"MO{k}"] = mo(k)
     out["MO2x2^1"] = product([mo(2), boolean_oml(1)])
     base = lattice_corpus()
-    for nm in kalmbach_bases:
+    for nm in ("C3", "C4", "M2"):
         out[f"K({nm})"] = kalmbach(base[nm]).as_ortholattice()
     return out

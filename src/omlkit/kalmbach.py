@@ -9,7 +9,9 @@ large K).
 
 Up-sets and down-sets are packed bitsets with columns in a linear extension,
 so joins and meets are the first upper / last lower bound along it without
-materialising quadratic tables.
+materialising quadratic tables.  That format stays inside ``KalmbachOML``:
+callers see element ids only, through ``interval_ids`` and
+``interval_sizes``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from .lattice import BoundedLattice, maximal_chains
 from .ortho import blocks, ortholattice
 
 DEFAULT_K_CAP = 200_000
-DEFAULT_VERIFY_CAP = 1500
-DEFAULT_VERIFY_SAMPLE = 200_000
+VERIFY_CAP = 1500
+VERIFY_SAMPLE = 200_000
+# as_ortholattice builds dense n x n tables only up to this many elements.
+MAX_DENSE_SIZE = 2048
 # The up-set and down-set tables take 2 * n * ceil(n / 8) bytes; a K(L) whose
 # tables would pass this raises TooLarge before anything is allocated.
 MAX_TABLE_BYTES = 1 << 30
 _CHECK_CHUNK = 1 << 14  # pairs per vectorised order-check step
+_OM_CHUNK = 4096  # upper bounds per batched orthomodular-law step
 
 _FIRSTBIT = np.array([(i & -i).bit_length() - 1 if i else 8 for i in range(256)],
                      dtype=np.int64)
@@ -163,12 +168,18 @@ class KalmbachOML:
         r = self._rank[j]
         return bool(self._up[i, r >> 3] & (1 << (int(r) & 7)))
 
-    def up_row(self, i):
-        """Boolean up-set of element i, in linear-extension column order."""
-        return np.unpackbits(self._up[i], bitorder="little")[: self.n]
+    def _ids(self, row):
+        """Element ids of the set bits of a packed row, in extension order."""
+        bits = np.unpackbits(row, bitorder="little")[: self.n]
+        return self._ext[np.flatnonzero(bits)]
 
-    def down_row(self, i):
-        return np.unpackbits(self._down[i], bitorder="little")[: self.n]
+    def interval_ids(self, x, y):
+        """The ids of the elements of [x, y], ascending."""
+        return np.sort(self._ids(self._up[x] & self._down[y]))
+
+    def interval_sizes(self, xs, ys):
+        """|[x, y]| over broadcast id arrays xs and ys."""
+        return np.bitwise_count(self._up[xs] & self._down[ys]).sum(axis=-1)
 
     def join_idx(self, i, j):
         u = self._up[i] & self._up[j]
@@ -266,15 +277,15 @@ class KalmbachOML:
                     f"order mismatch at ({self.names[x]}, {self.names[y]})"
                 )
 
-    def check_orthomodular(self, chunk=4096):
+    def check_orthomodular(self):
         """Exhaustive orthomodular-law check over all comparable pairs."""
         worst = None
         for x in range(self.n):
-            ys = self._ext[np.flatnonzero(self.up_row(x))]
+            ys = self._ids(self._up[x])
             ys = ys[ys != x]
             px = self.perp(x)
-            for s in range(0, len(ys), chunk):
-                batch = ys[s : s + chunk]
+            for s in range(0, len(ys), _OM_CHUNK):
+                batch = ys[s : s + _OM_CHUNK]
                 rebuilt = self.join_batch(x, self.meet_batch(px, batch))
                 for y in batch[rebuilt != batch]:
                     cand = (self.names[x], self.names[int(y)])
@@ -285,23 +296,22 @@ class KalmbachOML:
 
     # -- materialization --------------------------------------------------
 
-    def as_ortholattice(self, max_table_size=2048):
+    def as_ortholattice(self):
         """Materialize K(L) as a table-backed OrthoLattice (small K only)."""
-        if self.n > max_table_size:
+        if self.n > MAX_DENSE_SIZE:
             raise TooLarge(
                 f"K has {self.n} elements; table materialization capped at "
-                f"{max_table_size}"
+                f"{MAX_DENSE_SIZE}"
             )
         full = np.zeros((self.n, self.n), dtype=bool)
         bits = np.unpackbits(self._up, axis=1, bitorder="little")
         full[:, self._ext] = bits[:, : self.n]
-        L = BoundedLattice.from_leq(self.names, full, max_size=max_table_size)
+        L = BoundedLattice.from_leq(self.names, full, max_size=MAX_DENSE_SIZE)
         perp_map = {self.names[i]: self.names[self.perp(i)] for i in range(self.n)}
         return ortholattice(L, perp_map)
 
 
-def kalmbach(L, cap=DEFAULT_K_CAP, verify_cap=DEFAULT_VERIFY_CAP,
-             verify_sample=DEFAULT_VERIFY_SAMPLE, check_om=True, seed=0):
+def kalmbach(L, cap=DEFAULT_K_CAP):
     """Construct K(L) for a finite bounded lattice L.
 
     Raises TooLarge when the even-length-chain count exceeds ``cap`` or the
@@ -311,9 +321,8 @@ def kalmbach(L, cap=DEFAULT_K_CAP, verify_cap=DEFAULT_VERIFY_CAP,
     over the intervals of x, and down(y) = {x : x' in up(y')}, because x <= y
     exactly when y' <= x'.  Columns follow the linear extension that sorts
     elements stably by down-set size.  The tables are checked against
-    ``kleq_terms`` (exhaustively up to ``verify_cap`` elements, on
-    ``verify_sample`` seeded pairs beyond), and the orthomodular law is
-    checked exhaustively unless ``check_om`` is False.
+    ``kleq_terms`` (exhaustively up to VERIFY_CAP elements, on VERIFY_SAMPLE
+    seeded pairs beyond), and the orthomodular law is checked exhaustively.
     """
     seqs = _enumerate_even_chains(L, cap)
     n = len(seqs)
@@ -361,10 +370,8 @@ def kalmbach(L, cap=DEFAULT_K_CAP, verify_cap=DEFAULT_VERIFY_CAP,
 
     max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
     K = KalmbachOML(L, tuple(seqs), up, down, ext, perp_idx, max_chains)
-    K.check_order_against_definition(
-        sample=None if n <= verify_cap else verify_sample, seed=seed)
-    if check_om:
-        K.check_orthomodular()
+    K.check_order_against_definition(None if n <= VERIFY_CAP else VERIFY_SAMPLE)
+    K.check_orthomodular()
     return K
 
 
@@ -378,9 +385,9 @@ def katoms_check(K):
     return set(K.atoms_idx()) == expected
 
 
-def kblocks_check(K, max_table_size=2048):
+def kblocks_check(K):
     """Blocks of K(L) correspond bijectively to maximal chains via C -> K(C)."""
-    OL = K.as_ortholattice(max_table_size)
+    OL = K.as_ortholattice()
     clique_blocks = {frozenset(b.elements) for b in blocks(OL)}
     chain_blocks = {
         frozenset(K.names[i] for i, s in enumerate(K.seqs) if set(s) <= C)
@@ -389,21 +396,12 @@ def kblocks_check(K, max_table_size=2048):
     return clique_blocks == chain_blocks and len(chain_blocks) == len(K.max_chains)
 
 
-def kcommute_check(K, sample=None, seed=0):
+def kcommute_check(K):
     """commutes(x, y) iff the union of term sets is a chain in L (all pairs)."""
-    if sample is None:
-        pairs = (
-            (i, j) for i in range(K.n) for j in range(i, K.n)
-        )
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (rng.randrange(K.n), rng.randrange(K.n)) for _ in range(sample)
-        )
-    for i, j in pairs:
-        if K.commutes_idx(i, j) != K.union_is_chain(i, j):
-            return False
-    return True
+    return all(
+        K.commutes_idx(i, j) == K.union_is_chain(i, j)
+        for i in range(K.n) for j in range(i, K.n)
+    )
 
 
 def phi_chain(C, x_names):

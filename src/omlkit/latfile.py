@@ -137,7 +137,7 @@ def document_from_lattice(L, perp=None, metadata=()):
             (L.names[int(a)], L.names[int(b)])
             for a, b in np.argwhere(L.cover_matrix)
         )
-    else:                           # KalmbachOML: covers via packed rows
+    else:                           # KalmbachOML
         covers = _covers_from_protocol(L)
         if perp is None:
             perp = {L.names[i]: L.names[L.perp(i)] for i in range(L.n)}
@@ -148,24 +148,19 @@ def document_from_lattice(L, perp=None, metadata=()):
     return LatticeDocument(tuple(L.names), covers, perp_field, tuple(metadata))
 
 
-def _covers_from_protocol(L):
-    import numpy as np
-
+def _covers_from_protocol(K):
+    """Pairs (a, b) of K with [a, b] = {a, b}, found through interval queries."""
     out = []
-    for b in range(L.n):
-        down = np.where(L.down_row(b))[0]
-        strict = down[down != b]
-        for a in strict:
-            between = L.down_row(b) & L.up_row(int(a))
-            if between.sum() == 2:
-                out.append((L.names[int(a)], L.names[b]))
+    for b in range(K.n):
+        below = K.interval_ids(K.bottom, b)
+        for a in below[K.interval_sizes(below, b) == 2]:
+            out.append((K.names[int(a)], K.names[b]))
     return out
 
 
-def build_lattice(doc, max_size=None):
+def build_lattice(doc):
     """Construct the BoundedLattice (and OrthoLattice when perp is given)."""
-    kwargs = {} if max_size is None else {"max_size": max_size}
-    L = lattice_from_covers(list(doc.elements), list(doc.covers), **kwargs)
+    L = lattice_from_covers(list(doc.elements), list(doc.covers))
     if doc.perp is None:
         return L, None
     return L, ortholattice(L, doc.perp_map())

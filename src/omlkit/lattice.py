@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -507,7 +508,23 @@ def compactness_witness(L, c, S):
     raise AssertionError("unreachable: S itself is a witness")
 
 
-# -- isomorphism (explicit, brute force with invariant pruning) ---------
+# -- isomorphism -----------------------------------------------------------
+
+
+def _relation_graph(L, perp):
+    """Digraph on element indices with relation-set edge labels.
+
+    Edge (i, j) has ``rel``, the set of the relations "leq" and "perp" that
+    hold from i to j.
+    """
+    rel = {(int(i), int(j)): {"leq"} for i, j in np.argwhere(L.leq)}
+    if perp is not None:
+        for i in range(L.n):
+            rel.setdefault((i, int(perp[i])), set()).add("perp")
+    G = nx.DiGraph()
+    G.add_nodes_from(range(L.n))
+    G.add_edges_from((i, j, {"rel": frozenset(r)}) for (i, j), r in rel.items())
+    return G
 
 
 def find_isomorphism(L1, L2, perp1=None, perp2=None):
@@ -516,54 +533,10 @@ def find_isomorphism(L1, L2, perp1=None, perp2=None):
     When both perp maps (index arrays) are given, the isomorphism must also
     carry one orthocomplementation to the other.
     """
-    if L1.n != L2.n:
+    gm = nx.isomorphism.DiGraphMatcher(
+        _relation_graph(L1, perp1), _relation_graph(L2, perp2),
+        edge_match=nx.isomorphism.categorical_edge_match("rel", None),
+    )
+    if not gm.is_isomorphic():
         return None
-
-    def profile(L):
-        return [
-            (int(L.leq[:, i].sum()), int(L.leq[i].sum()), int(L.cover_matrix[i].sum()))
-            for i in range(L.n)
-        ]
-
-    p1, p2 = profile(L1), profile(L2)
-    if sorted(p1) != sorted(p2):
-        return None
-    cand = [[j for j in range(L2.n) if p2[j] == p1[i]] for i in range(L1.n)]
-    order = sorted(range(L1.n), key=lambda i: len(cand[i]))
-    assign = [-1] * L1.n
-    used = [False] * L2.n
-
-    def extend(k):
-        if k == L1.n:
-            return True
-        i = order[k]
-        for j in cand[i]:
-            if used[j]:
-                continue
-            ok = True
-            for kk in range(k):
-                i2 = order[kk]
-                if (bool(L1.leq[i, i2]) != bool(L2.leq[j, assign[i2]])
-                        or bool(L1.leq[i2, i]) != bool(L2.leq[assign[i2], j])):
-                    ok = False
-                    break
-            if ok and perp1 is not None:
-                pi = perp1[i]
-                if assign[pi] != -1 and assign[pi] != perp2[j]:
-                    ok = False
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                assign[i] = -1
-                used[j] = False
-        return False
-
-    if extend(0):
-        if perp1 is not None:
-            for i in range(L1.n):
-                if assign[perp1[i]] != perp2[assign[i]]:
-                    return None
-        return {L1.names[i]: L2.names[assign[i]] for i in range(L1.n)}
-    return None
+    return {L1.names[i]: L2.names[gm.mapping[i]] for i in range(L1.n)}

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RowsTooSmall
-from .kalmbach import KalmbachOML, kalmbach
+from .kalmbach import kalmbach
 from .lattice import compactness_witness, lattice_from_covers
 
 MAX_ROWS = 9  # two-digit row indices would make grid names ambiguous
+BOUNDARY_MARGIN = 2  # see classify_atoms
+_CHUNK = 4096  # elements x per batched covering-sweep step
 
 
 def _name(i, j):
@@ -115,12 +117,13 @@ def _atom_edge(K, i):
     return _grid_pos(K.base.names[a]), _grid_pos(K.base.names[b])
 
 
-def classify_atoms(K, margin=2):
+def classify_atoms(K):
     """Classify the atoms of K over an rn_lattice base.
 
     An atom is flagged as boundary when either endpoint of its edge sits in
-    grid row rows - margin or higher, where the truncation removes part of
-    the infinite-diagram neighborhood that the compactness claims rely on.
+    a grid row above rows - BOUNDARY_MARGIN, where the truncation removes
+    part of the infinite-diagram neighborhood that the compactness claims
+    rely on.
     """
     rows = _rows_of(K.base)
     if rows < 3:
@@ -134,7 +137,7 @@ def classify_atoms(K, margin=2):
             boundary.add(K.names[i])
             continue
         buckets[role].add(K.names[i])
-        if max(u[0], v[0]) > rows - margin:
+        if max(u[0], v[0]) > rows - BOUNDARY_MARGIN:
             boundary.add(K.names[i])
     return AtomClassification(
         rows=rows,
@@ -174,22 +177,14 @@ def central_elements(K):
     )
 
 
-def _height_exceeds_two(K, member_row, x, j):
-    """True iff [x, j] with the given packed member row has a 4-chain."""
-    pos = np.nonzero(np.unpackbits(member_row, bitorder="little")[: K.n])[0]
-    ids = K._ext[pos]
+def _height_exceeds_two(K, x, j):
+    """True iff [x, j] has a 4-chain x < s < t < j."""
+    ids = K.interval_ids(x, j)
     strict = ids[(ids != x) & (ids != j)]
-    if len(strict) < 2:
-        return False
-    mask = member_row.copy()
-    for e in (x, j):
-        r = int(K._rank[e])
-        mask[r >> 3] &= ~np.uint8(1 << (r & 7))
-    above = np.bitwise_count(K._up[strict] & mask).sum(axis=1)
-    return bool((above > 1).any())
+    return bool((K.interval_sizes(strict, j) > 2).any())
 
 
-def covering_report(K, chunk=4096):
+def covering_report(K):
     """One sweep over all (atom, x) pairs for the 1- and 2-covering laws.
 
     Each law is evaluated unrestricted and with intervals whose top touches
@@ -214,25 +209,24 @@ def covering_report(K, chunk=4096):
             result[wkey] = cand
 
     for a in atom_ids:
-        for s in range(0, K.n, chunk):
-            xs = np.arange(s, min(s + chunk, K.n))
+        for s in range(0, K.n, _CHUNK):
+            xs = np.arange(s, min(s + _CHUNK, K.n))
             js = K.join_batch(a, xs)
-            members = K._up[xs] & K._down[js]
-            counts = np.bitwise_count(members).sum(axis=1)
+            counts = K.interval_sizes(xs, js)
             for k in np.where(counts > 2)[0]:
                 note("covering1", a, int(xs[k]))
                 if not touches_top[js[k]]:
                     note("covering1_truncated", a, int(xs[k]))
             for k in np.where(counts > 3)[0]:
                 x, j = int(xs[k]), int(js[k])
-                if _height_exceeds_two(K, members[k], x, j):
+                if _height_exceeds_two(K, x, j):
                     note("covering2", a, x)
                     if not touches_top[j]:
                         note("covering2_truncated", a, x)
     return result
 
 
-def rn_report(rows, margin=2, K=None):
+def rn_report(rows, K=None):
     """Build K(rn_lattice(rows)) and check the headline structure claims.
 
     Returns a dict covering orthomodularity, the center (with truncation
@@ -249,7 +243,7 @@ def rn_report(rows, margin=2, K=None):
         base = K.base
         if _rows_of(base) != rows:
             raise ValueError("prebuilt K does not match the requested rows")
-    cls = classify_atoms(K, margin=margin)
+    cls = classify_atoms(K)
 
     centre = central_elements(K)
     bounds = {K.names[K.bottom], K.names[K.top]}

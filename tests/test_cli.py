@@ -1,7 +1,9 @@
 import pytest
 
 from omlkit.cli import keller_report, main, run_checks
-from omlkit.corpus import benzene_ortholattice, mo, pentagon
+from omlkit.corpus import benzene_ortholattice, chain, mo, pentagon
+from omlkit.kalmbach import MAX_TABLE_BYTES, kalmbach
+from omlkit.lattice import covers, find_isomorphism
 from omlkit.latfile import (
     build_lattice,
     document_from_lattice,
@@ -138,6 +140,21 @@ def test_kalmbach_subcommand_roundtrip(write, tmp_path):
     assert doc.perp is not None
 
 
+def test_kalmbach_covers_match_the_dense_order(kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        want = tuple(sorted(covers(K.as_ortholattice().lattice)))
+        assert document_from_lattice(K).covers == want, nm
+
+
+def test_kalmbach_subcommand_rebuilds_k_of_c4(write, tmp_path):
+    c4 = write("c4.yaml", _doc_text(chain(4)))
+    out = str(tmp_path / "k.yaml")
+    assert main(["kalmbach", "--in", c4, "--out", out]) == 0
+    L, OL = build_lattice(parse_lattice(open(out).read()))
+    K = kalmbach(chain(4)).as_ortholattice()
+    assert find_isomorphism(L, K.lattice, OL.perp, K.perp)
+
+
 def test_dot_subcommand_reimport(write, tmp_path):
     m2 = write("m2.yaml", _doc_text(mo(2)))
     out = str(tmp_path / "g.dot")
@@ -164,6 +181,13 @@ def test_rn_subcommand(write, tmp_path):
     kout = str(tmp_path / "krn.yaml")
     assert main(["rn", "--rows", "1", "--kalmbach", "--out", kout]) == 0
     assert len(parse_lattice(open(kout).read()).elements) > 12
+
+
+def test_rn_report_over_the_table_limit_exits_2(capsys):
+    # K(rn 5) has 199,680 elements: 2 * n * ceil(n / 8) bytes of tables
+    assert main(["rn", "--rows", "5", "--report"]) == 2
+    err = capsys.readouterr().err
+    assert "9968025600" in err and str(MAX_TABLE_BYTES) in err
 
 
 def test_keller_subcommand_deterministic(tmp_path):

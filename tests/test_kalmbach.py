@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from omlkit.corpus import chain, diamond, mo
@@ -213,6 +214,17 @@ def test_leq_idx_matches_scalar_definition(corpus, kalmbach_corpus):
         for i, x in enumerate(K.seqs):
             for j, y in enumerate(K.seqs):
                 assert K.leq_idx(i, j) == kleq_terms(leq, x, y), (nm, i, j)
+
+
+def test_interval_queries_match_the_dense_order(kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        leq = K.as_ortholattice().lattice.leq
+        ids = np.arange(K.n)
+        dense = leq.astype(np.int64) @ leq.astype(np.int64)
+        assert (K.interval_sizes(ids[:, None], ids) == dense).all(), nm
+        for x, y in itertools.product(range(K.n), repeat=2):
+            want = np.flatnonzero(leq[x] & leq[:, y]).tolist()
+            assert K.interval_ids(x, y).tolist() == want, (nm, x, y)
 
 
 def test_pair_blocks_match_the_scalar_generators():

@@ -115,6 +115,19 @@ def test_interval_examples():
         interval(cube, cube.names[cube.top], a)
 
 
+def test_find_isomorphism_maps_order_and_perp():
+    cube = boolean_cube(4)
+    full = np.array([cube.index("".join("10"[int(c)] for c in nm))
+                     for nm in cube.names])
+    iso = find_isomorphism(cube, cube, full, full)
+    f = np.array([cube.index(iso[nm]) for nm in cube.names])
+    assert (cube.leq[np.ix_(f, f)] == cube.leq).all()
+    assert (f[full] == full[f]).all()
+    assert find_isomorphism(chain(3), chain(4)) is None
+    assert find_isomorphism(pentagon(), diamond(3)) is None
+    assert find_isomorphism(cube, cube, full, np.arange(cube.n)) is None
+
+
 def test_predicates_m2():
     p = predicates(diamond(2))
     assert p.is_modular and p.has_covering and p.is_complemented

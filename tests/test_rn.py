@@ -3,6 +3,7 @@ import pytest
 from omlkit.errors import RowsTooSmall
 from omlkit.kalmbach import kalmbach
 from omlkit.lattice import compactness_witness
+from omlkit.ortho import has_n_covering
 from omlkit.rn import (
     central_elements,
     claim1_join_check,
@@ -103,6 +104,16 @@ def test_covering_verdicts_rows3(rn3):
     assert cov["covering1_witness"] is not None
     assert cov["covering2"]
     assert cov["covering2_truncated"]
+
+
+def test_covering_report_matches_has_n_covering(kalmbach_corpus):
+    # the bitset sweep against the dense-table search, witnesses included
+    for nm, K in kalmbach_corpus.items():
+        cov = covering_report(K)
+        OL = K.as_ortholattice()
+        for n in (1, 2):
+            got = (cov[f"covering{n}"], cov[f"covering{n}_witness"])
+            assert got == has_n_covering(OL, n), (nm, n)
 
 
 def test_orthomodular_rows3(rn3):
