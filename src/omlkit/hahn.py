@@ -215,16 +215,28 @@ class HahnSeries:
         self._coeffs = {g: c for g, c in acc.items() if c}
 
     @classmethod
+    def _canonical(cls, coeffs):
+        """Wrap a dict that is already canonical, skipping normalisation.
+
+        The caller guarantees that every key is a GammaExp and every value a
+        nonzero Fraction; the dict is taken over, not copied.
+        """
+        out = cls.__new__(cls)
+        out._coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._canonical({})
 
     @classmethod
     def constant(cls, q):
-        return cls([(GAMMA_ZERO, Fraction(q))])
+        return cls.term(q, GAMMA_ZERO)
 
     @classmethod
     def term(cls, q, gamma):
-        return cls([(gamma, Fraction(q))])
+        q = Fraction(q)
+        return cls._canonical({gamma: q} if q else {})
 
     @classmethod
     def t(cls, n):
@@ -254,27 +266,44 @@ class HahnSeries:
         return Fraction(0) if v is INF else self._coeffs[v]
 
     def __add__(self, other):
-        return HahnSeries(
-            list(self._coeffs.items()) + list(other._coeffs.items())
-        )
+        out = dict(self._coeffs)
+        for g, c in other._coeffs.items():
+            if g in out:
+                c = out[g] + c
+                if not c:
+                    del out[g]
+                    continue
+            out[g] = c
+        return HahnSeries._canonical(out)
 
     def __neg__(self):
-        return HahnSeries([(g, -c) for g, c in self._coeffs.items()])
+        return HahnSeries._canonical({g: -c for g, c in self._coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return HahnSeries([(g, c * other) for g, c in self._coeffs.items()])
+            if not other:
+                return HahnSeries.zero()
+            return HahnSeries._canonical(
+                {g: c * other for g, c in self._coeffs.items()}
+            )
         out = {}
         for g1, c1 in self._coeffs.items():
             for g2, c2 in other._coeffs.items():
                 g = g1 + g2
-                out[g] = out.get(g, Fraction(0)) + c1 * c2
-        return HahnSeries(out)
+                c = c1 * c2
+                out[g] = out[g] + c if g in out else c
+        return HahnSeries._canonical({g: c for g, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def shift(self, gamma):
+        """This series times the monomial t^gamma."""
+        return HahnSeries._canonical(
+            {g + gamma: c for g, c in self._coeffs.items()}
+        )
 
     def __eq__(self, other):
         return isinstance(other, HahnSeries) and self._coeffs == other._coeffs

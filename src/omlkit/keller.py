@@ -88,13 +88,19 @@ def zero_vector(n):
     return KVector((_ZERO,) * n)
 
 
+def _times_t(c, i):
+    """c t_i, as a monomial shift of the numerator of c."""
+    return HahnScalar(c.num.shift(GammaExp.delta(i)), c.den)
+
+
 def form(f, g):
-    """<f, g> = sum of f(i) g(i) t_i."""
+    """<f, g> = sum of f(i) g(i) t_i, over the coordinates nonzero in both."""
     if f.dim != g.dim:
         raise DimensionMismatch("form arguments have different dimensions")
     acc = _ZERO
-    for i in range(f.dim):
-        acc = acc + f[i] * g[i] * HahnScalar.t(i)
+    for i, (a, b) in enumerate(zip(f.coords, g.coords)):
+        if a and b:
+            acc = acc + _times_t(a * b, i)
     return acc
 
 
@@ -288,7 +294,13 @@ def orthogonalize(vectors):
     n = vectors[0].dim
     if len(_rref(vectors)) != len(vectors):
         raise DependentInput("input vectors are linearly dependent")
-    gram = [[form(a, b) for b in vectors] for a in vectors]
+    # the involution is trivial, so the form is symmetric: each unordered
+    # pair is evaluated once and mirrored
+    m = len(vectors)
+    gram = [[None] * m for _ in range(m)]
+    for r in range(m):
+        for c in range(r, m):
+            gram[r][c] = gram[c][r] = form(vectors[r], vectors[c])
     out = []
     for k in range(len(vectors)):
         g = zero_vector(n)
@@ -338,7 +350,7 @@ def ortho_complement(X):
     # f is orthogonal to basis vector b iff sum_i f_i b_i t_i = 0, so the
     # constraint matrix has entries b_i t_i; its kernel is read off the rref.
     constraints = [
-        _reduce_vector(KVector(tuple(b[i] * HahnScalar.t(i) for i in range(X.n))))
+        _reduce_vector(KVector(tuple(_times_t(b[i], i) for i in range(X.n))))
         for b in X.basis
     ]
     reduced = _rref(constraints)
@@ -374,9 +386,15 @@ def counting_types(n):
 # -- seeded random generators ------------------------------------------------
 
 
-def random_gamma(rng, max_index=6, max_val=3):
+_GAMMA_MAX_VAL = 3  # exponent components are drawn from [-3, 3]
+_FRACTION_PROB = 0.4  # share of random scalars with a non-constant denominator
+
+
+def random_gamma(rng, max_index=6):
     support = rng.sample(range(max_index + 1), rng.randint(0, 2))
-    return GammaExp([(i, rng.randint(-max_val, max_val)) for i in support])
+    return GammaExp(
+        [(i, rng.randint(-_GAMMA_MAX_VAL, _GAMMA_MAX_VAL)) for i in support]
+    )
 
 
 def random_series(rng, max_terms=3, max_index=6):
@@ -397,9 +415,9 @@ def random_nonzero_series(rng, max_terms=3, max_index=6):
             return s
 
 
-def random_scalar(rng, max_terms=3, max_index=6, fraction_prob=0.4):
+def random_scalar(rng, max_terms=3, max_index=6):
     # denominators stay short so chained eliminations remain tractable
-    if rng.random() >= fraction_prob:
+    if rng.random() >= _FRACTION_PROB:
         den = HahnSeries.constant(1)
     else:
         den = HahnSeries.constant(1) + HahnSeries.term(

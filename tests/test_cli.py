@@ -205,3 +205,27 @@ def test_keller_report_seed_changes_samples():
     t2, ok2 = keller_report(3, seed=1, trials=20)
     assert ok1 and ok2
     assert t1 != t2
+
+
+KELLER_REPORT_3_0_100 = """\
+ambient dimension: 3
+type(e0) = T(0)
+type(e1) = T(1)
+type(e2) = T(2)
+anisotropy_formula: pass (100 trials, 0 failures)
+pi_complement_law: pass (100 trials, 0 failures)
+pi-map table (sampled subspaces):
+  sample 0: dim 3 -> {T(0) T(1) T(2)}
+  sample 1: dim 0 -> {}
+  sample 2: dim 0 -> {}
+  sample 3: dim 3 -> {T(0) T(1) T(2)}
+  sample 4: dim 1 -> {T(2)}
+"""
+
+
+def test_keller_report_golden_text():
+    # pins every line, the sampled pi-map types included: a change of
+    # representative that altered a type would show here
+    text, ok = keller_report(3, seed=0, trials=100)
+    assert ok
+    assert text == KELLER_REPORT_3_0_100

@@ -135,6 +135,55 @@ def test_zero_valuation_is_infinite():
     assert HahnSeries.zero().valuation() is INF
 
 
+def _terms(s):
+    return [(g, s.coefficient(g)) for g in s.support]
+
+
+def _assert_canonical(result, expected):
+    for g in result.support:
+        assert isinstance(g, GammaExp)
+        c = result.coefficient(g)
+        assert isinstance(c, Fraction) and c != 0, (g, c)
+    assert result == expected
+    assert hash(result) == hash(expected)
+
+
+def test_arithmetic_results_match_public_constructor():
+    # +, -, *, scalar * and shift build their results without the public
+    # normalising constructor; check each against a rebuild through it
+    rng = random.Random(12)
+    from omlkit.keller import random_gamma, random_series
+
+    for _ in range(500):
+        x, y = random_series(rng), random_series(rng)
+        tx, ty = _terms(x), _terms(y)
+        # operands built to cancel: y shares x's first term with the
+        # opposite sign, and x_bar flips x's last sign, so that
+        # x * x_bar = a^2 - b^2 loses its cross terms
+        y_cancel = HahnSeries(ty + [(g, -c) for g, c in tx[:1]])
+        x_bar = HahnSeries(tx[:-1] + [(g, -c) for g, c in tx[-1:]])
+        for a, b in ((x, y), (x, y_cancel), (x, x), (x, x_bar)):
+            ta, tb = _terms(a), _terms(b)
+            _assert_canonical(a + b, HahnSeries(ta + tb))
+            _assert_canonical(a - b, HahnSeries(ta + [(g, -c) for g, c in tb]))
+            _assert_canonical(-b, HahnSeries([(g, -c) for g, c in tb]))
+            _assert_canonical(
+                a * b,
+                HahnSeries(
+                    [(g1 + g2, c1 * c2) for g1, c1 in ta for g2, c2 in tb]
+                ),
+            )
+        q_rand = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        for q in (Fraction(0), q_rand):
+            _assert_canonical(x * q, HahnSeries([(g, c * q) for g, c in tx]))
+            _assert_canonical(q * x, HahnSeries([(g, q * c) for g, c in tx]))
+        gamma = random_gamma(rng)
+        _assert_canonical(
+            x.shift(gamma), HahnSeries([(g + gamma, c) for g, c in tx])
+        )
+        assert x.shift(gamma) == x * HahnSeries.term(1, gamma)
+
+
 # -- scalars ---------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from omlkit.keller import (
     pi_map,
     random_nonzero_vector,
     random_subspace,
+    random_vector,
     type_of,
     zero_vector,
 )
@@ -53,6 +54,25 @@ def test_form_bilinear_orthogonal():
 def test_form_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         form(_e(2, 0), _e(3, 0))
+
+
+def _reference_form(f, g):
+    acc = HahnScalar(0)
+    for i in range(f.dim):
+        acc = acc + f[i] * g[i] * HahnScalar.t(i)
+    return acc
+
+
+def test_form_symmetric_and_matches_reference_sum():
+    # orthogonalize evaluates each unordered Gram pair once, relying on
+    # the symmetry checked here
+    rng = random.Random(12)
+    for dim in (3, 4):
+        for _ in range(100):
+            f, g = random_vector(rng, dim), random_vector(rng, dim)
+            assert form(f, g) == form(g, f)
+            assert form(f, g) == _reference_form(f, g)
+            assert form_self(f) == _reference_form(f, f)
 
 
 # -- anisotropy and types ----------------------------------------------------
@@ -239,6 +259,10 @@ def test_double_complement_randomized():
     rng = random.Random(11)
     for _ in range(100):
         X = random_subspace(rng, 5, max_dim=3, max_index=2)
+        C = ortho_complement(X)
+        for b in X.basis:
+            for c in C.basis:
+                assert not _reference_form(b, c)
         assert closure_check(X)
 
 
