@@ -32,7 +32,6 @@ from .keller import (
     type_of,
 )
 from .latfile import (
-    LatticeDocument,
     build_lattice,
     document_from_lattice,
     emit_lattice,
@@ -259,7 +258,6 @@ def _parser():
     ke.add_argument("--dim", type=int, required=True)
     ke.add_argument("--seed", type=int, default=0)
     ke.add_argument("--trials", type=int, default=1000)
-    ke.add_argument("--report", action="store_true")
     ke.add_argument("--out", dest="output", metavar="FILE")
 
     d = sub.add_parser("dot", help="export the Hasse diagram as DOT")

@@ -17,6 +17,7 @@ callers see element ids only, through ``interval_ids`` and
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -181,25 +182,33 @@ class KalmbachOML:
         """|[x, y]| over broadcast id arrays xs and ys."""
         return np.bitwise_count(self._up[xs] & self._down[ys]).sum(axis=-1)
 
+    def _bound(self, xs, ys, upper):
+        """The join (upper) or meet of x and y over broadcast id arrays.
+
+        The bound set up(x) & up(y) (down(x) & down(y)) is scanned for its
+        first (last) element along the linear extension, which is then
+        checked to lie below (above) every other element of the set.
+        """
+        table = self._up if upper else self._down
+        bounds = table[xs] & table[ys]
+        if upper:
+            byte = (bounds != 0).argmax(axis=-1, keepdims=True)
+            bit = _FIRSTBIT
+        else:
+            last = (bounds[..., ::-1] != 0).argmax(axis=-1, keepdims=True)
+            byte, bit = bounds.shape[-1] - 1 - last, _LASTBIT
+        pos = byte * 8 + bit[np.take_along_axis(bounds, byte, axis=-1)]
+        out = self._ext[pos[..., 0]]
+        if (bounds & ~table[out]).any():
+            raise AssertionError("upper-bound set has no least element" if upper
+                                 else "lower-bound set has no greatest element")
+        return out
+
     def join_idx(self, i, j):
-        u = self._up[i] & self._up[j]
-        nz = np.nonzero(u)[0]
-        byte = int(nz[0])
-        pos = byte * 8 + int(_FIRSTBIT[u[byte]])
-        least = int(self._ext[pos])
-        if (u & ~self._up[least]).any():
-            raise AssertionError("upper-bound set has no least element")
-        return least
+        return int(self._bound(i, j, True))
 
     def meet_idx(self, i, j):
-        d = self._down[i] & self._down[j]
-        nz = np.nonzero(d)[0]
-        byte = int(nz[-1])
-        pos = byte * 8 + int(_LASTBIT[d[byte]])
-        greatest = int(self._ext[pos])
-        if (d & ~self._down[greatest]).any():
-            raise AssertionError("lower-bound set has no greatest element")
-        return greatest
+        return int(self._bound(i, j, False))
 
     def perp(self, i):
         return int(self.perp_idx[i])
@@ -208,48 +217,41 @@ class KalmbachOML:
         counts = np.bitwise_count(self._down).sum(axis=1)
         return [int(i) for i in np.where(counts == 2)[0]]
 
-    def join_batch(self, i, js, verify=True):
-        """Joins of element i with each element of js (vectorized)."""
-        u = self._up[i] & self._up[js]
-        nz = u != 0
-        byte = nz.argmax(axis=1)
-        rows = np.arange(len(js))
-        pos = byte * 8 + _FIRSTBIT[u[rows, byte]]
-        out = self._ext[pos]
-        if verify:
-            bad = (u & ~self._up[out]).any(axis=1)
-            if bad.any():
-                raise AssertionError("upper-bound set has no least element")
-        return out
+    def join_batch(self, xs, ys):
+        """Joins x v y over broadcast id arrays xs and ys."""
+        return self._bound(xs, ys, True)
 
-    def meet_batch(self, i, js, verify=True):
-        d = self._down[i] & self._down[js]
-        rev = d[:, ::-1] != 0
-        byte = d.shape[1] - 1 - rev.argmax(axis=1)
-        rows = np.arange(len(js))
-        pos = byte * 8 + _LASTBIT[d[rows, byte]]
-        out = self._ext[pos]
-        if verify:
-            bad = (d & ~self._down[out]).any(axis=1)
-            if bad.any():
-                raise AssertionError("lower-bound set has no greatest element")
-        return out
+    def meet_batch(self, xs, ys):
+        """Meets x ^ y over broadcast id arrays xs and ys."""
+        return self._bound(xs, ys, False)
 
-    def commutator_idx(self, i, j):
-        pi, pj = self.perp(i), self.perp(j)
-        a = self.join_idx(i, j)
-        b = self.join_idx(i, pj)
-        c = self.join_idx(pi, j)
-        d = self.join_idx(pi, pj)
-        return self.meet_idx(self.meet_idx(a, b), self.meet_idx(c, d))
+    def commutes_idx(self, xs, ys):
+        """Whether x and y commute, over broadcast id arrays xs and ys.
 
-    def commutes_idx(self, i, j):
-        return self.commutator_idx(i, j) == self.bottom
+        They commute when their commutator
+        (x v y) ^ (x v y') ^ (x' v y) ^ (x' v y') is the bottom.
+        """
+        pxs, pys = self.perp_idx[xs], self.perp_idx[ys]
+        ab = self.meet_batch(self.join_batch(xs, ys), self.join_batch(xs, pys))
+        cd = self.meet_batch(self.join_batch(pxs, ys), self.join_batch(pxs, pys))
+        return self.meet_batch(ab, cd) == self.bottom
 
-    def union_is_chain(self, i, j):
-        terms = set(self.seqs[i]) | set(self.seqs[j])
+    @cached_property
+    def _terms(self):
+        """Padded (n, 2p) terms of each sequence; built on first use, because
+        only ``union_is_chain`` reads it and the rn report never calls that."""
+        return np.concatenate(_interval_terms(self.base, self.seqs), axis=1)
+
+    def union_is_chain(self, xs, ys):
+        """Whether the terms of x and y form a chain in L, over id arrays.
+
+        Each sequence is a chain and the padding is comparable to everything,
+        so only a term of x against a term of y needs comparing.
+        """
         leq = self.base.leq
-        return all(leq[u, v] or leq[v, u] for u in terms for v in terms)
+        tx = self._terms[xs][..., :, None]
+        ty = self._terms[ys][..., None, :]
+        return (leq[tx, ty] | leq[ty, tx]).all(axis=(-2, -1))
 
     # -- verification ---------------------------------------------------
 
@@ -398,10 +400,11 @@ def kblocks_check(K):
 
 def kcommute_check(K):
     """commutes(x, y) iff the union of term sets is a chain in L (all pairs)."""
-    return all(
-        K.commutes_idx(i, j) == K.union_is_chain(i, j)
-        for i in range(K.n) for j in range(i, K.n)
-    )
+    for i in range(K.n):
+        js = np.arange(i, K.n)
+        if (K.commutes_idx(i, js) != K.union_is_chain(i, js)).any():
+            return False
+    return True
 
 
 def phi_chain(C, x_names):

@@ -10,7 +10,6 @@ fraction field.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .errors import (
@@ -19,7 +18,6 @@ from .errors import (
     ZeroVector,
 )
 from .hahn import (
-    GAMMA_ZERO,
     INF,
     GammaExp,
     HahnScalar,

@@ -15,7 +15,7 @@ accepts both the YAML format and the DOT output, so exports round-trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 

@@ -198,10 +198,6 @@ def atoms(L):
     return frozenset(L.names[i] for i in np.where(L.cover_matrix[L.bottom])[0])
 
 
-def coatoms(L):
-    return frozenset(L.names[i] for i in np.where(L.cover_matrix[:, L.top])[0])
-
-
 def maximal_chains(L):
     """All maximal chains, bottom to top, in lexicographic name order."""
     succ = [sorted(np.where(L.cover_matrix[u])[0], key=lambda v: L.names[v])

@@ -151,11 +151,9 @@ def classify_atoms(K):
 def noncommuting_atoms(K, atom_name):
     """The atoms p with commutator gamma(p, atom) != 0."""
     c = K.index(atom_name)
-    out = set()
-    for p in K.atoms_idx():
-        if p != c and not K.commutes_idx(p, c):
-            out.add(K.names[p])
-    return out
+    atoms = np.array(K.atoms_idx())
+    atoms = atoms[atoms != c]
+    return {K.names[p] for p in atoms[~K.commutes_idx(atoms, c)]}
 
 
 def claim1_join_check(K, atom_name):

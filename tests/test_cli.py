@@ -200,6 +200,14 @@ def test_keller_subcommand_deterministic(tmp_path):
     assert "anisotropy_formula: pass" in text
 
 
+def test_keller_has_no_report_flag(capsys):
+    # the keller report is the subcommand's only output
+    with pytest.raises(SystemExit) as exc:
+        main(["keller", "--dim", "2", "--report"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --report" in capsys.readouterr().err
+
+
 def test_keller_report_seed_changes_samples():
     t1, ok1 = keller_report(3, seed=0, trials=20)
     t2, ok2 = keller_report(3, seed=1, trials=20)

@@ -25,7 +25,7 @@ from omlkit.kalmbach import (
 )
 from omlkit.lattice import find_isomorphism
 from omlkit.corpus import boolean_cube
-from omlkit.ortho import is_orthomodular
+from omlkit.ortho import commutation_matrix, is_orthomodular
 from omlkit.rn import rn_lattice
 
 
@@ -288,3 +288,77 @@ def test_orthomodular_check_matches_scalar_loop(kalmbach_corpus):
     verdict = bad.check_orthomodular()
     assert verdict == _scalar_orthomodular(bad)
     assert verdict[0] is False
+
+
+def _union_is_chain(K, i, j):
+    terms = set(K.seqs[i]) | set(K.seqs[j])
+    leq = K.base.leq
+    return all(leq[u, v] or leq[v, u] for u in terms for v in terms)
+
+
+def test_broadcast_queries_match_dense_references(kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        OL = K.as_ortholattice()
+        ids = np.arange(K.n)
+        assert (K.join_batch(ids[:, None], ids) == OL.lattice.join).all(), nm
+        assert (K.meet_batch(ids[:, None], ids) == OL.lattice.meet).all(), nm
+        assert (K.commutes_idx(ids[:, None], ids)
+                == commutation_matrix(OL)).all(), nm
+        chains = [[_union_is_chain(K, i, j) for j in ids] for i in ids]
+        assert (K.union_is_chain(ids[:, None], ids) == np.array(chains)).all(), nm
+
+
+def _two_bounds(K, leq, bound):
+    """(x, y, w) with w a bound of y that is incomparable with bound(x, y).
+
+    The bound differs from x, so a flipped bit in row x leaves its row intact.
+    """
+    for x, y, w in itertools.product(range(K.n), repeat=3):
+        z = bound(x, y)
+        if z != x and leq(y, w) and not (leq(z, w) or leq(w, z)):
+            return x, y, w
+    raise AssertionError("no such triple")
+
+
+def test_bound_check_rejects_two_extreme_bounds(kalmbach_corpus):
+    # a flipped bit puts w into the bound set of (x, y) next to the true
+    # bound; the set then has two minimal (maximal) elements
+    K = kalmbach_corpus["2^3"]
+    ids = np.arange(K.n)
+    x, y, w = _two_bounds(K, K.leq_idx, K.join_idx)
+    bad = _flipped(K, "_up", x, w)
+    message = "upper-bound set has no least element"
+    with pytest.raises(AssertionError, match=message):
+        bad.join_idx(x, y)
+    with pytest.raises(AssertionError, match=message):
+        bad.join_batch(ids[:, None], ids)
+    x, y, w = _two_bounds(K, lambda a, b: K.leq_idx(b, a), K.meet_idx)
+    bad = _flipped(K, "_down", x, w)
+    message = "lower-bound set has no greatest element"
+    with pytest.raises(AssertionError, match=message):
+        bad.meet_idx(x, y)
+    with pytest.raises(AssertionError, match=message):
+        bad.meet_batch(ids[:, None], ids)
+
+
+def _scalar_kcommute(K):
+    for i in range(K.n):
+        for j in range(i, K.n):
+            pi, pj = K.perp(i), K.perp(j)
+            gamma = K.meet_idx(
+                K.meet_idx(K.join_idx(i, j), K.join_idx(i, pj)),
+                K.meet_idx(K.join_idx(pi, j), K.join_idx(pi, pj)),
+            )
+            if (gamma == K.bottom) != _union_is_chain(K, i, j):
+                return False
+    return True
+
+
+def test_kcommute_check_can_fail(kalmbach_corpus):
+    K = kalmbach_corpus["2^3"]
+    assert kcommute_check(K) is _scalar_kcommute(K) is True
+    bad = copy.copy(K)
+    bad.perp_idx = K.perp_idx.copy()
+    a, b = K.atoms_idx()[:2]
+    bad.perp_idx[[a, b]] = bad.perp_idx[[b, a]]
+    assert kcommute_check(bad) is _scalar_kcommute(bad) is False
