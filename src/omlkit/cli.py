@@ -196,6 +196,18 @@ def render_rn_report(report):
     return "\n".join(lines) + "\n"
 
 
+def _rn_claims_hold(report):
+    """Whether every claim of an rn_report dict holds.
+
+    ``covering1`` is not a claim: the ladder is expected to fail 1-covering.
+    """
+    keys = ("is_orthomodular", "is_directly_irreducible", "embedding_check",
+            "covering2_truncated")
+    claims = ("count_ok", "witness_ok", "pairwise_joins_dominate")
+    return all(report[k] for k in keys) and all(
+        entry.get(c, True) for entry in report["atom_claims"] for c in claims)
+
+
 # -- argument plumbing ---------------------------------------------------
 
 
@@ -289,8 +301,9 @@ def _dispatch(args):
 
     if args.command == "rn":
         if args.report:
-            _write(args.output, render_rn_report(rn_report(args.rows)))
-            return 0
+            report = rn_report(args.rows)
+            _write(args.output, render_rn_report(report))
+            return 0 if _rn_claims_hold(report) else 1
         base = rn_lattice(args.rows)
         obj = kalmbach(base) if args.kalmbach else base
         _write(args.output, emit_lattice(document_from_lattice(obj)))

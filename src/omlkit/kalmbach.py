@@ -10,7 +10,7 @@ large K).
 Up-sets and down-sets are packed bitsets with columns in a linear extension,
 so joins and meets are the first upper / last lower bound along it without
 materialising quadratic tables.  That format stays inside ``KalmbachOML``:
-callers see element ids only, through ``interval_ids`` and
+callers see element ids only, through ``interval_members`` and
 ``interval_sizes``.
 """
 
@@ -113,17 +113,26 @@ def _interval_terms(L, seqs):
 def _pair_blocks(n, sample, seed):
     """(i, j) index arrays of the order-check pairs, a block at a time.
 
-    All n * n pairs in row-major order when ``sample`` is None, else the pairs
-    ``(rng.randrange(n), rng.randrange(n))`` of ``rng = random.Random(seed)``.
+    All n * n pairs in row-major order when ``sample`` is None.  Otherwise
+    each block of c pairs takes 2c values from ``rng = random.Random(seed)``:
+    ``rng.randbytes(4 * m)``, with m the values the block still lacks, is read
+    as m little-endian 32-bit words, each masked to ``(n - 1).bit_length()``
+    bits, and the words ``>= n`` are rejected, until the block has 2c values.
+    Consecutive values form the pairs (i, j).
     """
     if sample is None:
         for s in range(0, n * n, _CHECK_CHUNK):
             yield np.divmod(np.arange(s, min(s + _CHECK_CHUNK, n * n)), n)
         return
     rng = random.Random(seed)
+    mask = (1 << (n - 1).bit_length()) - 1
     for s in range(0, sample, _CHECK_CHUNK):
-        c = min(_CHECK_CHUNK, sample - s)
-        draws = np.array([rng.randrange(n) for _ in range(2 * c)], dtype=np.int64)
+        want = 2 * min(_CHECK_CHUNK, sample - s)
+        draws = np.empty(0, dtype=np.int64)
+        while len(draws) < want:
+            words = np.frombuffer(rng.randbytes(4 * (want - len(draws))),
+                                  dtype="<u4") & mask
+            draws = np.concatenate([draws, words[words < n]])
         yield draws[0::2], draws[1::2]
 
 
@@ -174,9 +183,18 @@ class KalmbachOML:
         bits = np.unpackbits(row, bitorder="little")[: self.n]
         return self._ext[np.flatnonzero(bits)]
 
-    def interval_ids(self, x, y):
-        """The ids of the elements of [x, y], ascending."""
-        return np.sort(self._ids(self._up[x] & self._down[y]))
+    def interval_members(self, xs, ys):
+        """(k, s) with one pair for every element s of [xs[k], ys[k]].
+
+        xs and ys are id arrays that broadcast to one dimension.  Only the
+        nonzero bytes of the interval rows are unpacked; k is ascending, and
+        within one k the s follow the linear extension.
+        """
+        rows = self._up[xs] & self._down[ys]
+        k, byte = np.nonzero(rows)
+        bits = np.unpackbits(rows[k, byte][:, None], axis=1, bitorder="little")
+        r, bit = np.nonzero(bits)
+        return k[r], self._ext[byte[r] * 8 + bit]
 
     def interval_sizes(self, xs, ys):
         """|[x, y]| over broadcast id arrays xs and ys."""
@@ -187,21 +205,26 @@ class KalmbachOML:
 
         The bound set up(x) & up(y) (down(x) & down(y)) is scanned for its
         first (last) element along the linear extension, which is then
-        checked to lie below (above) every other element of the set.
+        checked to lie below (above) every other element of the set.  An
+        empty bound set raises too.
         """
         table = self._up if upper else self._down
         bounds = table[xs] & table[ys]
+        nb = bounds.shape[-1]
+        flat = bounds.reshape(-1, nb)
         if upper:
-            byte = (bounds != 0).argmax(axis=-1, keepdims=True)
-            bit = _FIRSTBIT
+            byte, bit = (flat != 0).argmax(axis=1), _FIRSTBIT
         else:
-            last = (bounds[..., ::-1] != 0).argmax(axis=-1, keepdims=True)
-            byte, bit = bounds.shape[-1] - 1 - last, _LASTBIT
-        pos = byte * 8 + bit[np.take_along_axis(bounds, byte, axis=-1)]
-        out = self._ext[pos[..., 0]]
+            byte = nb - 1 - (flat[:, ::-1] != 0).argmax(axis=1)
+            bit = _LASTBIT
+        message = ("upper-bound set has no least element" if upper
+                   else "lower-bound set has no greatest element")
+        chosen = flat[np.arange(len(flat)), byte]
+        if not chosen.all():
+            raise AssertionError(message)
+        out = self._ext[(byte * 8 + bit[chosen]).reshape(bounds.shape[:-1])]
         if (bounds & ~table[out]).any():
-            raise AssertionError("upper-bound set has no least element" if upper
-                                 else "lower-bound set has no greatest element")
+            raise AssertionError(message)
         return out
 
     def join_idx(self, i, j):

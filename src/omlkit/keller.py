@@ -406,13 +406,6 @@ def random_series(rng, max_terms=3, max_index=6):
     )
 
 
-def random_nonzero_series(rng, max_terms=3, max_index=6):
-    while True:
-        s = random_series(rng, max_terms, max_index)
-        if s:
-            return s
-
-
 def random_scalar(rng, max_terms=3, max_index=6):
     # denominators stay short so chained eliminations remain tractable
     if rng.random() >= _FRACTION_PROB:

@@ -17,11 +17,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 from .errors import NonTotalPerp, ParseError, UnknownName
 from .lattice import lattice_from_covers
 from .ortho import ortholattice
+
+_MEMBER_PAIRS = 1 << 14  # most (a, b) pairs per cover-search step
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,6 @@ def document_from_lattice(L, perp=None, metadata=()):
             perp = L.perp_map()
         L = L.lattice
     if hasattr(L, "cover_matrix"):
-        import numpy as np
-
         covers = tuple(
             (L.names[int(a)], L.names[int(b)])
             for a, b in np.argwhere(L.cover_matrix)
@@ -149,12 +150,18 @@ def document_from_lattice(L, perp=None, metadata=()):
 
 
 def _covers_from_protocol(K):
-    """Pairs (a, b) of K with [a, b] = {a, b}, found through interval queries."""
+    """Pairs (a, b) of K with [a, b] = {a, b}, found through interval queries.
+
+    Each member query covers about _MEMBER_PAIRS / n elements b, so it yields
+    at most _MEMBER_PAIRS pairs (a, b) with a <= b.
+    """
     out = []
-    for b in range(K.n):
-        below = K.interval_ids(K.bottom, b)
-        for a in below[K.interval_sizes(below, b) == 2]:
-            out.append((K.names[int(a)], K.names[b]))
+    step = max(1, _MEMBER_PAIRS // K.n)
+    for c in range(0, K.n, step):
+        bs = np.arange(c, min(c + step, K.n))
+        k, a = K.interval_members(K.bottom, bs)
+        cover = K.interval_sizes(a, bs[k]) == 2
+        out += [(K.names[x], K.names[y]) for x, y in zip(a[cover], bs[k[cover]])]
     return out
 
 

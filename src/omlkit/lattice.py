@@ -216,17 +216,6 @@ def maximal_chains(L):
     return out
 
 
-def is_chain_maximal(L, chain_names):
-    """True iff no element of L can be inserted into the chain."""
-    idx = [L.index(nm) for nm in chain_names]
-    for z in range(L.n):
-        if z in idx:
-            continue
-        if all(L.leq[z, u] or L.leq[u, z] for u in idx):
-            return False
-    return True
-
-
 def height(L):
     """One less than the maximum cardinality of a chain."""
     ext = L.linear_extension()

@@ -21,6 +21,7 @@ from .lattice import compactness_witness, lattice_from_covers
 MAX_ROWS = 9  # two-digit row indices would make grid names ambiguous
 BOUNDARY_MARGIN = 2  # see classify_atoms
 _CHUNK = 4096  # elements x per batched covering-sweep step
+_MEMBER_CHUNK = 1024  # (x, j) pairs per interval-member query
 
 
 def _name(i, j):
@@ -175,11 +176,20 @@ def central_elements(K):
     )
 
 
-def _height_exceeds_two(K, x, j):
-    """True iff [x, j] has a 4-chain x < s < t < j."""
-    ids = K.interval_ids(x, j)
-    strict = ids[(ids != x) & (ids != j)]
-    return bool((K.interval_sizes(strict, j) > 2).any())
+def _tall_intervals(K, xs, js):
+    """Whether [x, j] has a 4-chain x < s < t < j, over id arrays xs and js.
+
+    Each chunk of pairs makes one member query: some s of [x, j] other than
+    x and j has |[s, j]| > 2.
+    """
+    tall = np.zeros(len(xs), dtype=bool)
+    for c in range(0, len(xs), _MEMBER_CHUNK):
+        x, j = xs[c : c + _MEMBER_CHUNK], js[c : c + _MEMBER_CHUNK]
+        k, s = K.interval_members(x, j)
+        inner = (s != x[k]) & (s != j[k])
+        k, s = k[inner], s[inner]
+        tall[c + k[K.interval_sizes(s, j[k]) > 2]] = True
+    return tall
 
 
 def covering_report(K):
@@ -191,36 +201,38 @@ def covering_report(K):
     """
     base_top = K.base.top
     touches_top = np.array([base_top in s for s in K.seqs])
-    atom_ids = sorted(K.atoms_idx(), key=lambda i: K.names[i])
-    result = {
-        "covering1": True, "covering1_witness": None,
-        "covering1_truncated": True, "covering1_truncated_witness": None,
-        "covering2": True, "covering2_witness": None,
-        "covering2_truncated": True, "covering2_truncated_witness": None,
-    }
+    by_name = sorted(range(K.n), key=K.names.__getitem__)
+    name_rank = np.empty(K.n, dtype=np.int64)
+    name_rank[by_name] = np.arange(K.n)
+    least = {}  # law -> least name_rank[atom] * n + name_rank[x] found
 
-    def note(key, atom, x):
-        wkey = key + "_witness"
-        cand = (K.names[atom], K.names[x])
-        result[key] = False
-        if result[wkey] is None or cand < result[wkey]:
-            result[wkey] = cand
+    def note(key, atoms, xs, hit):
+        if hit.any():
+            found = int((name_rank[atoms] * K.n + name_rank[xs])[hit].min())
+            least[key] = min(least.get(key, found), found)
 
-    for a in atom_ids:
+    cand = []  # (atom, x, j) with |[x, j]| > 3, j = atom v x
+    for a in K.atoms_idx():
         for s in range(0, K.n, _CHUNK):
             xs = np.arange(s, min(s + _CHUNK, K.n))
             js = K.join_batch(a, xs)
             counts = K.interval_sizes(xs, js)
-            for k in np.where(counts > 2)[0]:
-                note("covering1", a, int(xs[k]))
-                if not touches_top[js[k]]:
-                    note("covering1_truncated", a, int(xs[k]))
-            for k in np.where(counts > 3)[0]:
-                x, j = int(xs[k]), int(js[k])
-                if _height_exceeds_two(K, x, j):
-                    note("covering2", a, x)
-                    if not touches_top[j]:
-                        note("covering2_truncated", a, x)
+            note("covering1", a, xs, counts > 2)
+            note("covering1_truncated", a, xs, (counts > 2) & ~touches_top[js])
+            big = counts > 3
+            cand.append((np.full(big.sum(), a), xs[big], js[big]))
+    atoms, xs, js = map(np.concatenate, zip(*cand))
+    tall = _tall_intervals(K, xs, js)
+    note("covering2", atoms, xs, tall)
+    note("covering2_truncated", atoms, xs, tall & ~touches_top[js])
+
+    result = {}
+    for key in ("covering1", "covering1_truncated",
+                "covering2", "covering2_truncated"):
+        best = least.get(key)
+        result[key] = best is None
+        result[key + "_witness"] = None if best is None else (
+            K.names[by_name[best // K.n]], K.names[by_name[best % K.n]])
     return result
 
 

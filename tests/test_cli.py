@@ -190,6 +190,35 @@ def test_rn_report_over_the_table_limit_exits_2(capsys):
     assert "9968025600" in err and str(MAX_TABLE_BYTES) in err
 
 
+def test_rn_report_exits_1_when_a_claim_fails(rn3, monkeypatch, tmp_path):
+    import copy
+
+    import omlkit.cli as cli
+    from omlkit.rn import rn_report
+
+    report = rn_report(3, K=rn3[1])
+    out = str(tmp_path / "report.txt")
+    monkeypatch.setattr(cli, "rn_report", lambda rows: report)
+    # covering1 is False on the ladder by design and is no failed claim
+    assert report["covering1"] is False
+    assert main(["rn", "--rows", "3", "--report", "--out", out]) == 0
+    flips = [(key,) for key in ("is_orthomodular", "is_directly_irreducible",
+                                "embedding_check", "covering2_truncated")]
+    for i, entry in enumerate(report["atom_claims"]):
+        flips += [("atom_claims", i, key) for key in
+                  ("count_ok", "witness_ok", "pairwise_joins_dominate")
+                  if key in entry]
+    assert len(flips) > 7
+    for path in flips:
+        bad = copy.deepcopy(report)
+        target = bad
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = False
+        monkeypatch.setattr(cli, "rn_report", lambda rows, bad=bad: bad)
+        assert main(["rn", "--rows", "3", "--report", "--out", out]) == 1, path
+
+
 def test_keller_subcommand_deterministic(tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert main(["keller", "--dim", "3", "--trials", "40", "--out", a]) == 0

@@ -222,9 +222,31 @@ def test_interval_queries_match_the_dense_order(kalmbach_corpus):
         ids = np.arange(K.n)
         dense = leq.astype(np.int64) @ leq.astype(np.int64)
         assert (K.interval_sizes(ids[:, None], ids) == dense).all(), nm
-        for x, y in itertools.product(range(K.n), repeat=2):
-            want = np.flatnonzero(leq[x] & leq[:, y]).tolist()
-            assert K.interval_ids(x, y).tolist() == want, (nm, x, y)
+        xs, ys = (a.ravel() for a in np.meshgrid(ids, ids, indexing="ij"))
+        k, s = K.interval_members(xs, ys)
+        assert len(k) == dense.sum(), nm  # no element twice
+        got = np.zeros((K.n * K.n, K.n), dtype=bool)
+        got[k, s] = True
+        want = leq[xs] & leq[:, ys].T  # row k: the elements of [xs[k], ys[k]]
+        assert (got == want).all(), nm
+
+
+def _scalar_pairs(n, sample, seed):
+    """The documented sampled-pair rule of ``_pair_blocks``, a word at a time."""
+    rng = random.Random(seed)
+    bits = (n - 1).bit_length()
+    pairs = []
+    for s in range(0, sample, 1 << 14):
+        want = 2 * min(1 << 14, sample - s)
+        values = []
+        while len(values) < want:
+            buf = rng.randbytes(4 * (want - len(values)))
+            for w in range(0, len(buf), 4):
+                v = int.from_bytes(buf[w : w + 4], "little") & ((1 << bits) - 1)
+                if v < n:
+                    values.append(v)
+        pairs += zip(values[0::2], values[1::2])
+    return pairs
 
 
 def test_pair_blocks_match_the_scalar_generators():
@@ -232,8 +254,7 @@ def test_pair_blocks_match_the_scalar_generators():
     blocks = _pair_blocks(n, None, 0)
     got = [(int(i), int(j)) for bi, bj in blocks for i, j in zip(bi, bj)]
     assert got == [(i, j) for i in range(n) for j in range(n)]
-    rng = random.Random(7)
-    expected = [(rng.randrange(n), rng.randrange(n)) for _ in range(40_000)]
+    expected = _scalar_pairs(n, 40_000, 7)
     blocks = _pair_blocks(n, 40_000, 7)
     got = [(int(i), int(j)) for bi, bj in blocks for i, j in zip(bi, bj)]
     assert got == expected
@@ -258,8 +279,7 @@ def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
     with pytest.raises(AssertionError, match=message):
         _flipped(K, "_down", j, i).check_order_against_definition()
     # sampled: raises exactly when the flipped pair is among the drawn pairs
-    rng = random.Random(5)
-    drawn = {(rng.randrange(K.n), rng.randrange(K.n)) for _ in range(50)}
+    drawn = set(_scalar_pairs(K.n, 50, 5))
     (i, j) = min(drawn)
     with pytest.raises(AssertionError, match="order mismatch"):
         _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
@@ -337,6 +357,27 @@ def test_bound_check_rejects_two_extreme_bounds(kalmbach_corpus):
     message = "lower-bound set has no greatest element"
     with pytest.raises(AssertionError, match=message):
         bad.meet_idx(x, y)
+    with pytest.raises(AssertionError, match=message):
+        bad.meet_batch(ids[:, None], ids)
+
+
+def test_bound_check_rejects_an_empty_bound_set(kalmbach_corpus):
+    # x v x' is the top, and x ^ x' the bottom; without that bit the bound
+    # set is empty, and no element may be returned for it
+    K = kalmbach_corpus["2^3"]
+    ids = np.arange(K.n)
+    x = K.atoms_idx()[0]
+    px = K.perp(x)
+    bad = _flipped(K, "_up", x, K.top)
+    message = "upper-bound set has no least element"
+    with pytest.raises(AssertionError, match=message):
+        bad.join_idx(x, px)
+    with pytest.raises(AssertionError, match=message):
+        bad.join_batch(ids[:, None], ids)
+    bad = _flipped(K, "_down", x, K.bottom)
+    message = "lower-bound set has no greatest element"
+    with pytest.raises(AssertionError, match=message):
+        bad.meet_idx(x, px)
     with pytest.raises(AssertionError, match=message):
         bad.meet_batch(ids[:, None], ids)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from omlkit.errors import RowsTooSmall
@@ -5,6 +6,7 @@ from omlkit.kalmbach import kalmbach
 from omlkit.lattice import compactness_witness
 from omlkit.ortho import has_n_covering
 from omlkit.rn import (
+    _tall_intervals,
     central_elements,
     claim1_join_check,
     classify_atoms,
@@ -131,3 +133,41 @@ def test_classification_needs_rows3():
     K = kalmbach(rn_lattice(2))
     with pytest.raises(RowsTooSmall):
         classify_atoms(K)
+
+
+def _two_covering_candidates(K):
+    """The distinct (x, j) with j = a v x for an atom a and |[x, j]| > 3."""
+    xs = np.arange(K.n)
+    out = set()
+    for a in K.atoms_idx():
+        js = K.join_batch(a, xs)
+        big = K.interval_sizes(xs, js) > 3
+        out.update(zip(xs[big].tolist(), js[big].tolist()))
+    return sorted(out)
+
+
+def _scalar_tall(K, x, j):
+    """Whether some s < t lie strictly between x and j, pair by pair."""
+    _, members = K.interval_members([x], [j])
+    inner = [int(s) for s in members if s not in (x, j)]
+    return any(s != t and K.leq_idx(s, t) for s in inner for t in inner)
+
+
+def test_batched_height_test_matches_a_scalar_4_chain_search(
+        kalmbach_corpus, rn3, monkeypatch):
+    # K(rn 3) has thousands of candidates, so several member-query chunks;
+    # its verdicts are all False, so the corpus reruns with tiny chunks
+    seen = []
+    for nm, K in [*kalmbach_corpus.items(), ("rn3", rn3[1])]:
+        pairs = _two_covering_candidates(K)
+        if not pairs:
+            continue
+        xs, js = (np.array(c) for c in zip(*pairs))
+        want = [_scalar_tall(K, x, j) for x, j in pairs]
+        assert _tall_intervals(K, xs, js).tolist() == want, nm
+        if nm != "rn3":
+            with monkeypatch.context() as m:
+                m.setattr("omlkit.rn._MEMBER_CHUNK", 3)
+                assert _tall_intervals(K, xs, js).tolist() == want, nm
+        seen += want
+    assert any(seen) and not all(seen)
