@@ -237,6 +237,16 @@ def _add_io(p, multi_in=False):
                    help="output file (default: stdout)")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="omlkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -267,9 +277,9 @@ def _parser():
     _add_io(pr, multi_in=True)
 
     ke = sub.add_parser("keller", help="Hermitian-space type/pi report")
-    ke.add_argument("--dim", type=int, required=True)
+    ke.add_argument("--dim", type=_positive_int, required=True)
     ke.add_argument("--seed", type=int, default=0)
-    ke.add_argument("--trials", type=int, default=1000)
+    ke.add_argument("--trials", type=_positive_int, default=1000)
     ke.add_argument("--out", dest="output", metavar="FILE")
 
     d = sub.add_parser("dot", help="export the Hasse diagram as DOT")

@@ -289,6 +289,16 @@ class HahnSeries:
             return HahnSeries._canonical(
                 {g: c * other for g, c in self._coeffs.items()}
             )
+        if len(self._coeffs) == 1:
+            self, other = other, self
+        if len(other._coeffs) == 1:
+            # a monomial factor shifts and rescales; no two terms collide
+            ((g0, c0),) = other._coeffs.items()
+            if not g0 and c0 == 1:
+                return self
+            return HahnSeries._canonical(
+                {g + g0: c * c0 for g, c in self._coeffs.items()}
+            )
         out = {}
         for g1, c1 in self._coeffs.items():
             for g2, c2 in other._coeffs.items():
@@ -331,12 +341,23 @@ class HahnScalar:
         if isinstance(num, (int, Fraction)):
             num = HahnSeries.constant(num)
         if den is None:
-            den = HahnSeries.constant(1)
+            den = _ONE_SERIES
         elif isinstance(den, (int, Fraction)):
             den = HahnSeries.constant(den)
         if not den:
             raise DivisionByZero("scalar denominator is zero")
         self.num, self.den = _cancel(num, den)
+
+    @classmethod
+    def _over_one(cls, num):
+        """Wrap num over the constant 1, skipping ``_cancel``.
+
+        ``_cancel`` returns such a pair unchanged, so the result is the one
+        the public constructor would build.
+        """
+        out = cls.__new__(cls)
+        out.num, out.den = num, _ONE_SERIES
+        return out
 
     @classmethod
     def t(cls, n):
@@ -351,6 +372,12 @@ class HahnScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return HahnScalar._over_one(self.num + other.num)
+        if not other.num:
+            return HahnScalar(self.num, self.den)
+        if not self.num:
+            return HahnScalar(other.num, other.den)
         return HahnScalar(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -376,6 +403,8 @@ class HahnScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return HahnScalar._over_one(self.num * other.num)
         return HahnScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -401,9 +430,17 @@ class HahnScalar:
         return bool(self.num)
 
     def __repr__(self):
-        if self.den == HahnSeries.constant(1):
+        if _is_one(self.den):
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
+
+
+_ONE_SERIES = HahnSeries.constant(1)
+
+
+def _is_one(series):
+    """Whether series is the constant 1."""
+    return series is _ONE_SERIES or series._coeffs == _ONE_SERIES._coeffs
 
 
 def _cancel(num, den, lazy=True):
@@ -418,7 +455,7 @@ def _cancel(num, den, lazy=True):
     actually grow.
     """
     if not num:
-        return HahnSeries.zero(), HahnSeries.constant(1)
+        return HahnSeries.zero(), _ONE_SERIES
     if lazy and len(den._coeffs) > 1 and len(num._coeffs) + len(den._coeffs) <= 24:
         return num, den
     if len(den._coeffs) == 1:
@@ -429,7 +466,7 @@ def _cancel(num, den, lazy=True):
             return num, den
         return (
             HahnSeries([(g - g0, c / q) for g, c in num._coeffs.items()]),
-            HahnSeries.constant(1),
+            _ONE_SERIES,
         )
     new_num, new_den = _on_ring(
         [num, den], lambda pn, pd: pn.cancel(pd)
@@ -444,10 +481,70 @@ def _cancel(num, den, lazy=True):
 def series_ratio(a, b):
     """The fraction a / b in lowest terms, as a (num, den) series pair.
 
-    Unlike scalar construction, this always runs the polynomial gcd, so when
-    b divides a (up to a monomial) the returned denominator is the constant 1.
+    When b has several terms, exact Laurent division (``_exact_quotient``) is
+    tried first; if b divides a the pair is (a / b, 1).  Otherwise, and for
+    monomial b, this is ``_cancel`` without its laziness: the polynomial gcd
+    always runs, so when b divides a up to a unit the returned denominator
+    is the constant 1.
     """
+    if a and len(b._coeffs) > 1:
+        q = _exact_quotient(a, b)
+        if q is not None:
+            return q, _ONE_SERIES
     return _cancel(a, b, lazy=False)
+
+
+def _quotient_box(a, b):
+    """Per-index exponent bounds of a / b, if b divides a: (i, lo, hi) rows.
+
+    The lowest (highest) exponent of index i in a product is the sum of the
+    factors' lowest (highest), so a quotient q = a / b has every exponent of
+    index i in [ord_i a - ord_i b, deg_i a - deg_i b].  Indices outside both
+    supports are 0 in q and have no row.
+    """
+    indices = sorted(
+        {i for s in (a, b) for g in s._coeffs for i, _ in g.items()}
+    )
+    box = []
+    for i in indices:
+        ea = [g(i) for g in a._coeffs]
+        eb = [g(i) for g in b._coeffs]
+        box.append((i, min(ea) - min(eb), max(ea) - max(eb)))
+    return box
+
+
+def _exact_quotient(a, b):
+    """a / b if b divides the nonzero series a in the Laurent ring, else None.
+
+    Leading-term division along the reverse-lex order: each step removes the
+    lowest term of the remainder, so the quotient's terms come out strictly
+    increasing.  They must all lie in the finite ``_quotient_box``; a term
+    outside it proves that b does not divide a, and it also bounds the loop.
+    """
+    box = _quotient_box(a, b)
+    if any(lo > hi for _, lo, hi in box):
+        return None
+    vb = min(b._coeffs)
+    cb = b._coeffs[vb]
+    rest = [(g, c) for g, c in b._coeffs.items() if g != vb]
+    r = dict(a._coeffs)
+    q = {}
+    while r:
+        vr = min(r)
+        g = vr - vb
+        exps = dict(g.items())
+        if any(not lo <= exps.get(i, 0) <= hi for i, lo, hi in box):
+            return None
+        c = r.pop(vr) / cb
+        q[g] = c
+        for gb, cr in rest:
+            e = g + gb
+            v = r.get(e, 0) - c * cr
+            if v:
+                r[e] = v
+            else:
+                r.pop(e, None)
+    return HahnSeries._canonical(q)
 
 
 def _on_ring(series_list, op):
@@ -497,11 +594,17 @@ def _on_ring(series_list, op):
 
 
 def series_gcd(a, b):
-    """A greatest common divisor of two series, up to a monomial factor."""
+    """A greatest common divisor of two series.
+
+    It is defined up to a unit of the Laurent ring (a nonzero rational times
+    a monomial).  A monomial argument is itself a unit, so the gcd is 1.
+    """
     if not a:
         return b
     if not b:
         return a
+    if len(a._coeffs) == 1 or len(b._coeffs) == 1:
+        return _ONE_SERIES
     return _on_ring([a, b], lambda pa, pb: pa.gcd(pb))
 
 

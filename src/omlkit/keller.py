@@ -216,9 +216,9 @@ class Subspace:
 def _reduce_vector(v):
     """The primitive rescaling of v, normalized to leading coefficient one.
 
-    Clears denominators, divides out the gcd of the coordinates (monomial
-    factors included), and rescales so the first nonzero coordinate has
-    leading coefficient one.  Types, orthogonality and spans are
+    Clears denominators, divides out the gcd of the coordinates (so their
+    gcd becomes a unit: a common monomial factor may remain), and rescales
+    so the first nonzero coordinate has leading coefficient one.  Types, orthogonality and spans are
     scale-invariant, so downstream uses are unaffected, while the rescaling
     stops supports from compounding across chained operations.
     """
@@ -426,6 +426,8 @@ def random_vector(rng, dim, max_terms=2, max_index=4):
 
 
 def random_nonzero_vector(rng, dim, max_terms=2, max_index=4):
+    if dim < 1:
+        raise ZeroVector(f"every vector of dimension {dim} is zero")
     while True:
         v = random_vector(rng, dim, max_terms, max_index)
         if v:

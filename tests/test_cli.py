@@ -237,6 +237,27 @@ def test_keller_has_no_report_flag(capsys):
     assert "unrecognized arguments: --report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--dim", "0"],
+    ["--dim", "-1"],
+    ["--dim", "3", "--trials", "0"],
+    ["--dim", "3", "--trials", "-2"],
+])
+def test_keller_rejects_a_nonpositive_dim_or_trial_count(
+        args, monkeypatch, capsys):
+    # a 0-dimensional slice has no nonzero vector to draw, and 0 or fewer
+    # trials would print a vacuous pass; argparse rejects both before any
+    # report work starts
+    def no_report(*a, **kw):
+        raise AssertionError("keller_report ran")
+
+    monkeypatch.setattr("omlkit.cli.keller_report", no_report)
+    with pytest.raises(SystemExit) as exc:
+        main(["keller", *args])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_keller_report_seed_changes_samples():
     t1, ok1 = keller_report(3, seed=0, trials=20)
     t2, ok2 = keller_report(3, seed=1, trials=20)

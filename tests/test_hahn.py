@@ -11,6 +11,10 @@ from omlkit.hahn import (
     HahnScalar,
     HahnSeries,
     TypeClass,
+    _cancel,
+    _exact_quotient,
+    _on_ring,
+    _quotient_box,
     emit_series,
     parse_series,
     series_gcd,
@@ -267,6 +271,137 @@ def test_series_gcd_divides():
     _, r1 = series_ratio(a, g)
     _, r2 = series_ratio(b, g)
     assert r1.is_constant() and r2.is_constant()
+
+
+def _product(a, b):
+    """a * b term by term through the public normalising constructor."""
+    return HahnSeries(
+        [(g1 + g2, c1 * c2) for g1, c1 in _terms(a) for g2, c2 in _terms(b)]
+    )
+
+
+def _random_multiterm_series(rng):
+    from omlkit.keller import random_series
+
+    while True:
+        s = random_series(rng, max_terms=4, max_index=3)
+        if s.term_count > 1:
+            return s
+
+
+def _random_monomial(rng):
+    from omlkit.keller import random_gamma
+
+    return HahnSeries.term(
+        Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+        random_gamma(rng, 4),
+    )
+
+
+def test_monomial_products_shift_and_rescale():
+    rng = random.Random(13)
+    one = HahnSeries.constant(1)
+    for _ in range(300):
+        x, m = _random_nonzero_series(rng), _random_monomial(rng)
+        for a, b in ((x, m), (m, x), (m, m), (x, one), (one, x)):
+            _assert_canonical(a * b, _product(a, b))
+        y = _random_multiterm_series(rng)
+        assert y * one is y and one * y is y
+
+
+def test_exact_quotient_recovers_the_cofactor():
+    # b * q with negative exponents on both sides: the division returns q,
+    # series_ratio returns (q, 1), and the sympy path agrees on the value
+    rng = random.Random(14)
+    negative = 0
+    for _ in range(200):
+        b = _random_multiterm_series(rng)
+        q = _random_nonzero_series(rng)
+        a = _product(b, q)
+        negative += any(v < 0 for g in a.support for _, v in g.items())
+        _assert_canonical(_exact_quotient(a, b), q)
+        num, den = series_ratio(a, b)
+        assert (num, den) == (q, HahnSeries.constant(1))
+        ref_num, ref_den = _cancel(a, b, lazy=False)
+        assert num * ref_den == ref_num * den
+    assert negative > 100
+
+
+def test_quotient_box_is_the_cofactor_bounding_box():
+    rng = random.Random(15)
+    for _ in range(200):
+        b = _random_multiterm_series(rng)
+        q = _random_nonzero_series(rng)
+        box = _quotient_box(_product(b, q), b)
+        indices = sorted({i for s in (b, q) for g in s.support
+                          for i, _ in g.items()})
+        assert [i for i, _, _ in box] == indices
+        for i, lo, hi in box:
+            exps = [g(i) for g in q.support]
+            assert (lo, hi) == (min(exps), max(exps))
+
+
+def test_exact_quotient_rejects_non_divisors():
+    t0 = HahnSeries.t(0)
+    one = HahnSeries.constant(1)
+    # a box that is empty, and one that the quotient terms leave
+    assert _exact_quotient(one, one - t0) is None
+    assert _exact_quotient(one + t0 * t0, one + t0) is None
+    # random pairs and near-multiples b * c + m; the sympy cancellation
+    # confirms that none divides, and series_ratio falls back to it
+    rng = random.Random(16)
+    for _ in range(300):
+        a, b = _random_nonzero_series(rng), _random_multiterm_series(rng)
+        if rng.random() < 0.3:
+            a = _product(a, b) + _random_monomial(rng)
+        ref_num, ref_den = _cancel(a, b, lazy=False)
+        assert ref_den != one
+        assert _exact_quotient(a, b) is None
+        assert series_ratio(a, b) == (ref_num, ref_den)
+
+
+def test_series_gcd_with_a_monomial_is_one():
+    rng = random.Random(17)
+    one = HahnSeries.constant(1)
+    for _ in range(200):
+        m, x = _random_monomial(rng), _random_nonzero_series(rng)
+        assert series_gcd(m, x) == one and series_gcd(x, m) == one
+        # the polynomial gcd agrees up to a unit: it is a nonzero constant
+        ring_gcd = _on_ring([m, x], lambda pm, px: pm.gcd(px))
+        assert ring_gcd.is_constant() and ring_gcd
+
+
+def _general_sum(a, b):
+    num = _product(a.num, b.den) + _product(b.num, a.den)
+    return _cancel(num, _product(a.den, b.den))
+
+
+def _general_product(a, b):
+    return _cancel(_product(a.num, b.num), _product(a.den, b.den))
+
+
+def test_scalar_arithmetic_matches_the_general_formula():
+    # + and * skip products and the cancellation for constant-1 and zero
+    # operands; the pair they build must be the general formula's
+    rng = random.Random(18)
+    from omlkit.keller import random_scalar, random_series
+
+    kinds = {"zero": 0, "one": 0, "fraction": 0}
+    for _ in range(600):
+        operands = [random_scalar(rng), HahnScalar(random_series(rng)),
+                    HahnScalar(0),
+                    HahnScalar(random_series(rng),
+                               _random_multiterm_series(rng))]
+        for x in operands:
+            kinds["zero" if not x else "one" if x.den.is_constant()
+                  else "fraction"] += 1
+        for a in operands:
+            for b in operands:
+                for got, (num, den) in ((a + b, _general_sum(a, b)),
+                                        (a * b, _general_product(a, b))):
+                    assert (got.num._coeffs, got.den._coeffs) == (
+                        num._coeffs, den._coeffs)
+    assert min(kinds.values()) > 300
 
 
 # -- parse / emit ----------------------------------------------------------

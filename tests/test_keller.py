@@ -2,8 +2,18 @@ import random
 
 import pytest
 
+import omlkit.keller
+from omlkit.cli import keller_report
 from omlkit.errors import DependentInput, DimensionMismatch, ZeroVector
-from omlkit.hahn import GAMMA_ZERO, INF, GammaExp, HahnScalar, HahnSeries, tclass
+from omlkit.hahn import (
+    GAMMA_ZERO,
+    INF,
+    GammaExp,
+    HahnScalar,
+    HahnSeries,
+    series_gcd,
+    tclass,
+)
 from omlkit.keller import (
     KVector,
     Subspace,
@@ -93,6 +103,17 @@ def test_anisotropy_formula_randomized_e6():
         nonzero, val = anisotropy_check(f)
         assert nonzero
         assert val == form_self(f).valuation()
+
+
+def test_random_nonzero_vector_rejects_dimension_below_one(monkeypatch):
+    # every vector of dimension < 1 is zero, so a redraw loop never ends
+    def one_draw_only(*args):
+        raise AssertionError("random_nonzero_vector drew a vector")
+
+    monkeypatch.setattr(omlkit.keller, "random_vector", one_draw_only)
+    for dim in (0, -1):
+        with pytest.raises(ZeroVector):
+            random_nonzero_vector(random.Random(0), dim)
 
 
 def test_type_of_examples():
@@ -276,3 +297,32 @@ def test_subspace_contains():
     X = Subspace(3, [_e(3, 0), _e(3, 1)])
     assert X.contains(_e(3, 0) + _e(3, 1))
     assert not X.contains(_e(3, 2))
+
+
+def test_reduce_vector_outputs_are_primitive_and_monic(monkeypatch):
+    # the contract every caller of _reduce_vector relies on, checked on each
+    # output of one keller report: integral coordinates (denominator 1), a
+    # leading coefficient of 1 on the first nonzero coordinate, and a unit
+    # (single-term) gcd of the coordinates
+    reduce_vector = omlkit.keller._reduce_vector
+    outputs = []
+
+    def recording(v):
+        out = reduce_vector(v)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(omlkit.keller, "_reduce_vector", recording)
+    assert keller_report(3, seed=0, trials=100)[1]
+    one = HahnSeries.constant(1)
+    nonzero = [v for v in outputs if v]
+    assert len(nonzero) > 500
+    for v in outputs:
+        assert all(c.den == one for c in v.coords), v
+    for v in nonzero:
+        first = next(c for c in v.coords if c)
+        assert first.num.leading_coefficient() == 1, v
+        content = HahnSeries.zero()
+        for c in v.coords:
+            content = series_gcd(content, c.num)
+        assert content.term_count == 1, v
