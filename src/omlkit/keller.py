@@ -218,9 +218,10 @@ def _reduce_vector(v):
 
     Clears denominators, divides out the gcd of the coordinates (so their
     gcd becomes a unit: a common monomial factor may remain), and rescales
-    so the first nonzero coordinate has leading coefficient one.  Types, orthogonality and spans are
-    scale-invariant, so downstream uses are unaffected, while the rescaling
-    stops supports from compounding across chained operations.
+    so the first nonzero coordinate has leading coefficient one.  Types,
+    orthogonality and spans are scale-invariant, so downstream uses are
+    unaffected, while the rescaling stops supports from compounding across
+    chained operations.
     """
     if not v:
         return v
