@@ -34,7 +34,7 @@ MAX_DENSE_SIZE = 2048
 # tables would pass this raises TooLarge before anything is allocated.
 MAX_TABLE_BYTES = 1 << 30
 _CHECK_CHUNK = 1 << 14  # pairs per vectorised order-check step
-_OM_CHUNK = 4096  # upper bounds per batched orthomodular-law step
+_OM_YS = 256  # upper ends y per step of the orthomodular pass
 
 _FIRSTBIT = np.array([(i & -i).bit_length() - 1 if i else 8 for i in range(256)],
                      dtype=np.int64)
@@ -178,11 +178,6 @@ class KalmbachOML:
         r = self._rank[j]
         return bool(self._up[i, r >> 3] & (1 << (int(r) & 7)))
 
-    def _ids(self, row):
-        """Element ids of the set bits of a packed row, in extension order."""
-        bits = np.unpackbits(row, bitorder="little")[: self.n]
-        return self._ext[np.flatnonzero(bits)]
-
     def interval_members(self, xs, ys):
         """(k, s) with one pair for every element s of [xs[k], ys[k]].
 
@@ -236,9 +231,21 @@ class KalmbachOML:
     def perp(self, i):
         return int(self.perp_idx[i])
 
+    @property
+    def _atoms(self):
+        """Ids of the atoms, the z with down(z) = {0, z}, ascending.
+
+        Computed once per ``_down`` table: a copy that is given another
+        table recomputes them.
+        """
+        down, atoms = self.__dict__.get("_atoms_of", (None, None))
+        if down is not self._down:
+            atoms = np.flatnonzero(np.bitwise_count(self._down).sum(axis=1) == 2)
+            self._atoms_of = (self._down, atoms)
+        return atoms
+
     def atoms_idx(self):
-        counts = np.bitwise_count(self._down).sum(axis=1)
-        return [int(i) for i in np.where(counts == 2)[0]]
+        return self._atoms.tolist()
 
     def join_batch(self, xs, ys):
         """Joins x v y over broadcast id arrays xs and ys."""
@@ -302,19 +309,50 @@ class KalmbachOML:
                     f"order mismatch at ({self.names[x]}, {self.names[y]})"
                 )
 
+    def _strict_pairs(self, ys):
+        """(x, y) id arrays of every pair x < y with y in ys, _OM_YS ys a step."""
+        for s in range(0, len(ys), _OM_YS):
+            chunk = ys[s : s + _OM_YS]
+            k, xs = self.interval_members(self.bottom, chunk)
+            strict = xs != chunk[k]
+            yield xs[strict], chunk[k[strict]]
+
     def check_orthomodular(self):
-        """Exhaustive orthomodular-law check over all comparable pairs."""
+        """Exhaustive orthomodular-law check over all comparable pairs.
+
+        The law is x <= y implies x v (x' ^ y) = y.  In an ortholattice it
+        holds iff x <= y and x' ^ y = 0 imply x = y (Kalmbach, *Orthomodular
+        Lattices*, 1983), and K is finite, so x' ^ y = 0 iff no atom lies
+        below both.  One pass over the pairs x < y therefore tests the packed
+        atom sets A[x'] & A[y], and marks y suspect when they are disjoint.
+        The same pass checks the premise: y' <= x' on every such pair, and
+        A[x] & A[x'] = 0 for every x.  Under that premise the law fails with
+        upper end y exactly when y is suspect: x v (x' ^ y) = z < y gives
+        z' ^ y <= x' ^ y <= z, so z' ^ y <= z ^ z' = 0.  The original law is
+        then rerun with joins and meets over the pairs of the suspect ys
+        only, or of every y when the premise fails, so the witness is the
+        least (name x, name y) over all failing pairs.
+        """
+        perp, ranks = self.perp_idx, self._rank
+        r = ranks[self._atoms]
+        bits = ((self._down[:, r >> 3] >> (r & 7)) & 1).astype(bool)
+        atoms = np.packbits(bits, axis=1, bitorder="little")
+        premise = not (atoms & atoms[perp]).any()
+        suspect = np.zeros(self.n, dtype=bool)
+        if premise:
+            for xs, ys in self._strict_pairs(np.arange(self.n)):
+                rx = ranks[perp[xs]]
+                if not ((self._up[perp[ys], rx >> 3] >> (rx & 7)) & 1).all():
+                    premise = False
+                    break
+                suspect[ys[~(atoms[perp[xs]] & atoms[ys]).any(axis=1)]] = True
+        law_ys = np.flatnonzero(suspect) if premise else np.arange(self.n)
         worst = None
-        for x in range(self.n):
-            ys = self._ids(self._up[x])
-            ys = ys[ys != x]
-            px = self.perp(x)
-            for s in range(0, len(ys), _OM_CHUNK):
-                batch = ys[s : s + _OM_CHUNK]
-                rebuilt = self.join_batch(x, self.meet_batch(px, batch))
-                for y in batch[rebuilt != batch]:
-                    cand = (self.names[x], self.names[int(y)])
-                    worst = cand if worst is None else min(worst, cand)
+        for xs, ys in self._strict_pairs(law_ys):
+            bad = self.join_batch(xs, self.meet_batch(perp[xs], ys)) != ys
+            for x, y in zip(xs[bad], ys[bad]):
+                cand = (self.names[x], self.names[y])
+                worst = cand if worst is None else min(worst, cand)
         self.orthomodular = worst is None
         self.orthomodular_witness = worst
         return self.orthomodular, worst
@@ -347,7 +385,13 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     exactly when y' <= x'.  Columns follow the linear extension that sorts
     elements stably by down-set size.  The tables are checked against
     ``kleq_terms`` (exhaustively up to VERIFY_CAP elements, on VERIFY_SAMPLE
-    seeded pairs beyond), and the orthomodular law is checked exhaustively.
+    seeded pairs beyond), and the orthomodular law is checked exhaustively
+    over all comparable pairs by ``check_orthomodular``, in Kalmbach's
+    equivalent form (*Orthomodular Lattices*, 1983): x <= y and x' ^ y = 0
+    imply x = y, where x' ^ y = 0 iff no atom lies below both x' and y.
+    Joins and meets rerun the law itself only for the y above some such x
+    (for every y if perp is not an orthocomplement), and the least failing
+    (name x, name y) pair is the witness.
     """
     seqs = _enumerate_even_chains(L, cap)
     n = len(seqs)

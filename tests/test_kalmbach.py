@@ -11,6 +11,7 @@ from omlkit.corpus import chain, diamond, mo
 from omlkit.errors import TooLarge
 from omlkit.kalmbach import (
     MAX_TABLE_BYTES,
+    KalmbachOML,
     _pair_blocks,
     kalmbach,
     katoms_check,
@@ -24,7 +25,7 @@ from omlkit.kalmbach import (
     seq_name,
 )
 from omlkit.lattice import find_isomorphism
-from omlkit.corpus import boolean_cube
+from omlkit.corpus import benzene_ortholattice, boolean_cube
 from omlkit.ortho import commutation_matrix, is_orthomodular
 from omlkit.rn import rn_lattice
 
@@ -308,6 +309,105 @@ def test_orthomodular_check_matches_scalar_loop(kalmbach_corpus):
     verdict = bad.check_orthomodular()
     assert verdict == _scalar_orthomodular(bad)
     assert verdict[0] is False
+    assert _premise(K) == (True, True) and _premise(bad) != (True, True)
+    # the same with two elements that are neither atoms nor bounds; the law
+    # then fails at a y above no x with x' ^ y = 0, so only the broken
+    # premise sends the check to the full rerun
+    c, d = K.index("(000,100,110,111)"), K.index("(000,110)")
+    bad = copy.copy(K)
+    bad.perp_idx = K.perp_idx.copy()
+    bad.perp_idx[[c, d]] = bad.perp_idx[[d, c]]
+    law, atom = _law_and_atom_test_ys(bad)
+    assert _premise(bad) != (True, True) and law - atom
+    verdict = bad.check_orthomodular()
+    assert verdict == _scalar_orthomodular(bad)
+    assert verdict[0] is False
+
+
+def _premise(K):
+    """(x ^ x' = 0 for every x, perp reverses the order)."""
+    return (
+        all(K.meet_idx(x, K.perp(x)) == K.bottom for x in range(K.n)),
+        all(K.leq_idx(K.perp(y), K.perp(x))
+            for x in range(K.n) for y in range(K.n) if K.leq_idx(x, y)),
+    )
+
+
+def _law_and_atom_test_ys(K):
+    """The y with some x < y failing the law, and those with x' ^ y = 0."""
+    law, atom = set(), set()
+    for x, y in itertools.product(range(K.n), repeat=2):
+        if x != y and K.leq_idx(x, y):
+            m = K.meet_idx(K.perp(x), y)
+            if m == K.bottom:
+                atom.add(y)
+            if K.join_idx(x, m) != y:
+                law.add(y)
+    return law, atom
+
+
+def test_orthomodular_check_tests_each_half_of_its_premise(kalmbach_corpus):
+    # perp breaks one half of the premise, and the law fails at a y that
+    # the atom test alone would pass
+    K = kalmbach_corpus["M2"]
+    a = K.index("(a2,1)")
+    bottom_to_atom = copy.copy(K)
+    bottom_to_atom.perp_idx = K.perp_idx.copy()
+    bottom_to_atom.perp_idx[K.bottom] = a
+    constant = copy.copy(K)
+    constant.perp_idx = np.full(K.n, a)
+    for bad, premise in ((bottom_to_atom, (True, False)),
+                         (constant, (False, True))):
+        law, atom = _law_and_atom_test_ys(bad)
+        assert _premise(bad) == premise and law - atom
+        verdict = bad.check_orthomodular()
+        assert verdict == _scalar_orthomodular(bad)
+        assert verdict[0] is False
+
+
+def test_orthomodular_check_searches_no_bounds_on_an_oml(kalmbach_corpus,
+                                                         monkeypatch):
+    # in an OML no x < y has x' ^ y = 0, so the law is never rerun
+    def refuse(*args):
+        raise AssertionError("join or meet searched")
+
+    monkeypatch.setattr(KalmbachOML, "join_batch", refuse)
+    monkeypatch.setattr(KalmbachOML, "meet_batch", refuse)
+    for nm, K in kalmbach_corpus.items():
+        assert K.check_orthomodular() == (True, None), nm
+
+
+def test_orthomodular_check_matches_scalar_loop_on_corpus(kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        assert K.check_orthomodular() == _scalar_orthomodular(K), nm
+
+
+def test_orthomodular_witness_under_a_valid_orthocomplement():
+    # a K-shaped object over benzene O6: a valid ortholattice that is not
+    # orthomodular, so the law fails while its premise holds
+    OL = benzene_ortholattice()
+    L = OL.lattice
+    ext = np.array(L.linear_extension())
+    K = object.__new__(KalmbachOML)
+    K._up = np.packbits(L.leq[:, ext], axis=1, bitorder="little")
+    K._down = np.packbits(L.leq.T[:, ext], axis=1, bitorder="little")
+    K._ext = ext
+    K._rank = np.argsort(ext)
+    K.perp_idx = OL.perp.astype(np.int64)
+    K.names = L.names
+    K.seqs = L.names  # only its length, K.n, is read
+    K.bottom, K.top = L.bottom, L.top
+    law, atom = _law_and_atom_test_ys(K)
+    assert _premise(K) == (True, True) and law == atom == {OL.index("b"), OL.index("d")}
+    assert K.check_orthomodular() == is_orthomodular(OL) == (False, ("a", "b"))
+    assert _scalar_orthomodular(K) == (False, ("a", "b"))
+
+
+def test_atoms_follow_a_replaced_down_table(kalmbach_corpus):
+    K = kalmbach_corpus["2^3"]
+    a = K.atoms_idx()[0]
+    bad = _flipped(K, "_down", a, K.bottom)
+    assert a in K.atoms_idx() and a not in bad.atoms_idx()
 
 
 def _union_is_chain(K, i, j):
