@@ -323,21 +323,22 @@ class KalmbachOML:
         The law is x <= y implies x v (x' ^ y) = y.  In an ortholattice it
         holds iff x <= y and x' ^ y = 0 imply x = y (Kalmbach, *Orthomodular
         Lattices*, 1983), and K is finite, so x' ^ y = 0 iff no atom lies
-        below both.  One pass over the pairs x < y therefore tests the packed
-        atom sets A[x'] & A[y], and marks y suspect when they are disjoint.
-        The same pass checks the premise: y' <= x' on every such pair, and
-        A[x] & A[x'] = 0 for every x.  Under that premise the law fails with
-        upper end y exactly when y is suspect: x v (x' ^ y) = z < y gives
-        z' ^ y <= x' ^ y <= z, so z' ^ y <= z ^ z' = 0.  The original law is
-        then rerun with joins and meets over the pairs of the suspect ys
-        only, or of every y when the premise fails, so the witness is the
-        least (name x, name y) over all failing pairs.
+        below both.  One pass over the pairs x < y therefore ANDs the packed
+        sets of atoms below x' and below y, and marks y suspect when they are
+        disjoint.  The same pass checks the premise: y' <= x' on every such
+        pair, and no atom lies below both x and x', for every x.  Under that
+        premise the law fails with upper end y exactly when y is suspect:
+        x v (x' ^ y) = z < y gives z' ^ y <= x' ^ y <= z, so z' ^ y <= z ^ z'
+        = 0.  The original law is then rerun with joins and meets over the
+        pairs of the suspect ys only, or of every y when the premise fails,
+        so the witness is the least (name x, name y) over all failing pairs.
         """
         perp, ranks = self.perp_idx, self._rank
-        r = ranks[self._atoms]
-        bits = ((self._down[:, r >> 3] >> (r & 7)) & 1).astype(bool)
-        atoms = np.packbits(bits, axis=1, bitorder="little")
-        premise = not (atoms & atoms[perp]).any()
+        cols = ranks[self._atoms]
+        # below[z]: the atoms below z, packed from the atom columns of down(z)
+        bits = ((self._down[:, cols >> 3] >> (cols & 7)) & 1).astype(bool)
+        below = np.packbits(bits, axis=1, bitorder="little")
+        premise = not (below & below[perp]).any()
         suspect = np.zeros(self.n, dtype=bool)
         if premise:
             for xs, ys in self._strict_pairs(np.arange(self.n)):
@@ -345,7 +346,7 @@ class KalmbachOML:
                 if not ((self._up[perp[ys], rx >> 3] >> (rx & 7)) & 1).all():
                     premise = False
                     break
-                suspect[ys[~(atoms[perp[xs]] & atoms[ys]).any(axis=1)]] = True
+                suspect[ys[~(below[perp[xs]] & below[ys]).any(axis=1)]] = True
         law_ys = np.flatnonzero(suspect) if premise else np.arange(self.n)
         worst = None
         for xs, ys in self._strict_pairs(law_ys):

@@ -398,7 +398,8 @@ def test_orthomodular_witness_under_a_valid_orthocomplement():
     K.seqs = L.names  # only its length, K.n, is read
     K.bottom, K.top = L.bottom, L.top
     law, atom = _law_and_atom_test_ys(K)
-    assert _premise(K) == (True, True) and law == atom == {OL.index("b"), OL.index("d")}
+    assert _premise(K) == (True, True)
+    assert law == atom == {OL.index("b"), OL.index("d")}
     assert K.check_orthomodular() == is_orthomodular(OL) == (False, ("a", "b"))
     assert _scalar_orthomodular(K) == (False, ("a", "b"))
 
