@@ -35,6 +35,9 @@ MAX_DENSE_SIZE = 2048
 MAX_TABLE_BYTES = 1 << 30
 _CHECK_CHUNK = 1 << 14  # pairs per vectorised order-check step
 _OM_YS = 256  # upper ends y per step of the orthomodular pass
+# Table rows per kernel step take at most this many bytes, so the step's
+# temporaries stay in a core's cache.
+_BLOCK_BYTES = 1 << 19
 
 _FIRSTBIT = np.array([(i & -i).bit_length() - 1 if i else 8 for i in range(256)],
                      dtype=np.int64)
@@ -110,6 +113,42 @@ def _interval_terms(L, seqs):
     return terms[:, 0::2], terms[:, 1::2]
 
 
+def _kleq_tables(L, seqs):
+    """(ids, inside) with kleq_terms(L.leq, seqs[x], seqs[y]) equal to
+    ``inside[y, ids[x]].all()``, built from the order of L alone.
+
+    ids[x, t] numbers the interval (x_2t, x_2t+1) among the distinct padded
+    intervals of ``_interval_terms``, and inside[y, d] says that interval d
+    lies inside some interval of y.
+    """
+    shape = (L.n, L.n)
+    ends, ids = np.unique(np.ravel_multi_index(_interval_terms(L, seqs), shape),
+                          return_inverse=True)
+    ids = ids.reshape(len(seqs), -1)
+    a, b = np.unravel_index(ends, shape)
+    contains = L.leq[a[:, None], a] & L.leq[b, b[:, None]]  # d inside c
+    inside = contains[ids[:, 0]]
+    for t in ids[:, 1:].T:
+        inside |= contains[t]
+    return ids, inside
+
+
+def _blocks(xs, ys, row_bytes):
+    """Slices of the broadcast of id arrays xs and ys, for a table kernel.
+
+    None when one step of _BLOCK_BYTES, at ``row_bytes`` per pair, holds the
+    whole broadcast.  Otherwise (shape, [(start, xs, ys), ...]): the raveled
+    broadcast cut into slices of at most that many pairs.
+    """
+    b = np.broadcast(xs, ys)
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    if b.size <= step:
+        return None
+    xs, ys = (np.broadcast_to(a, b.shape).ravel() for a in (xs, ys))
+    return b.shape, [(s, xs[s : s + step], ys[s : s + step])
+                     for s in range(0, b.size, step)]
+
+
 def _pair_blocks(n, sample, seed):
     """(i, j) index arrays of the order-check pairs, a block at a time.
 
@@ -181,10 +220,20 @@ class KalmbachOML:
     def interval_members(self, xs, ys):
         """(k, s) with one pair for every element s of [xs[k], ys[k]].
 
-        xs and ys are id arrays that broadcast to one dimension.  Only the
-        nonzero bytes of the interval rows are unpacked; k is ascending, and
-        within one k the s follow the linear extension.
+        xs and ys are ids or id arrays that broadcast to at most one
+        dimension; scalars count as one-element arrays.  Only the nonzero
+        bytes of the interval rows are unpacked; k is ascending, and within
+        one k the s follow the linear extension.
         """
+        xs, ys = np.atleast_1d(xs, ys)
+        parts = _blocks(xs, ys, self._up.shape[1])
+        if parts:
+            ks, ss = [], []
+            for start, x, y in parts[1]:
+                k, s = self.interval_members(x, y)
+                ks.append(k + start)
+                ss.append(s)
+            return np.concatenate(ks), np.concatenate(ss)
         rows = self._up[xs] & self._down[ys]
         k, byte = np.nonzero(rows)
         bits = np.unpackbits(rows[k, byte][:, None], axis=1, bitorder="little")
@@ -193,7 +242,15 @@ class KalmbachOML:
 
     def interval_sizes(self, xs, ys):
         """|[x, y]| over broadcast id arrays xs and ys."""
-        return np.bitwise_count(self._up[xs] & self._down[ys]).sum(axis=-1)
+        parts = _blocks(xs, ys, self._up.shape[1])
+        if parts:
+            shape, parts = parts
+            return np.concatenate([self.interval_sizes(x, y)
+                                   for _, x, y in parts]).reshape(shape)
+        rows = self._up[xs] & self._down[ys]
+        # popcounts of whole words are fewer to add up than byte popcounts
+        words = rows.view(f"<u{np.gcd(rows.shape[-1], 8)}")
+        return np.bitwise_count(words).sum(axis=-1)
 
     def _bound(self, xs, ys, upper):
         """The join (upper) or meet of x and y over broadcast id arrays.
@@ -201,9 +258,14 @@ class KalmbachOML:
         The bound set up(x) & up(y) (down(x) & down(y)) is scanned for its
         first (last) element along the linear extension, which is then
         checked to lie below (above) every other element of the set.  An
-        empty bound set raises too.
+        empty bound set raises too.  Every block of the input is checked.
         """
         table = self._up if upper else self._down
+        parts = _blocks(xs, ys, table.shape[1])
+        if parts:
+            shape, parts = parts
+            return np.concatenate([self._bound(x, y, upper)
+                                   for _, x, y in parts]).reshape(shape)
         bounds = table[xs] & table[ys]
         nb = bounds.shape[-1]
         flat = bounds.reshape(-1, nb)
@@ -276,8 +338,14 @@ class KalmbachOML:
         """Whether the terms of x and y form a chain in L, over id arrays.
 
         Each sequence is a chain and the padding is comparable to everything,
-        so only a term of x against a term of y needs comparing.
+        so only a term of x against a term of y needs comparing.  The input
+        is walked in blocks, counting 8 bytes per pair of terms compared.
         """
+        parts = _blocks(xs, ys, 8 * self._terms.shape[1] ** 2)
+        if parts:
+            shape, parts = parts
+            return np.concatenate([self.union_is_chain(x, y)
+                                   for _, x, y in parts]).reshape(shape)
         leq = self.base.leq
         tx = self._terms[xs][..., :, None]
         ty = self._terms[ys][..., None, :]
@@ -290,15 +358,12 @@ class KalmbachOML:
 
         Exhaustive when ``sample`` is None, else on a seeded random sample of
         index pairs.  Pairs are evaluated in vectorised blocks; raises
-        AssertionError at the first disagreeing pair.
+        AssertionError at the first disagreeing pair.  The definition is
+        read from ``_kleq_tables``, which never looks at the tables under test.
         """
-        leq = self.base.leq
-        lo, hi = _interval_terms(self.base, self.seqs)
+        ids, inside = _kleq_tables(self.base, self.seqs)
         for i, j in _pair_blocks(self.n, sample, seed):
-            # kleq_terms over the block: every interval of x inside one of y
-            inside = (leq[lo[j][:, None, :], lo[i][:, :, None]]
-                      & leq[hi[i][:, :, None], hi[j][:, None, :]])
-            want = inside.any(axis=2).all(axis=1)
+            want = inside[j[:, None], ids[i]].all(axis=1)
             ri, rj = self._rank[i], self._rank[j]
             up = (self._up[i, rj >> 3] >> (rj & 7)) & 1
             down = (self._down[j, ri >> 3] >> (ri & 7)) & 1
@@ -406,7 +471,22 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     rank = {e: k for k, e in enumerate(L.linear_extension())}
     perp_idx = np.array([kidx[_perp_terms(L, s, rank)] for s in seqs],
                         dtype=np.int64)
+    up, down, ext = _order_tables(L, seqs, perp_idx)
 
+    max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
+    K = KalmbachOML(L, tuple(seqs), up, down, ext, perp_idx, max_chains)
+    K.check_order_against_definition(None if n <= VERIFY_CAP else VERIFY_SAMPLE)
+    K.check_orthomodular()
+    return K
+
+
+def _order_tables(L, seqs, perp_idx):
+    """(up, down, ext): the packed up-set and down-set tables of K(L), with
+    columns in the linear extension ext (see ``kalmbach``).  The interval
+    rows U they are formed from are freed on return, before any check runs.
+    """
+    n = len(seqs)
+    nb = (n + 7) // 8
     # U[k] for the k-th strictly comparable pair (a, b) of L; the last row is
     # all of K and stands for the padding interval (top, bottom).
     lo, hi = _interval_terms(L, seqs)
@@ -422,7 +502,7 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     def and_rows(cols, ids, out):
         """out[r] = AND of the U rows ids[r], with U's columns taken at cols."""
         table = np.packbits(U[:, cols], axis=1, bitorder="little")
-        step = max(1, (1 << 22) // nb)
+        step = max(1, _BLOCK_BYTES // nb)
         for s in range(0, n, step):
             block = out[s : s + step]
             block[:] = table[ids[s : s + step, 0]]
@@ -437,12 +517,7 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     ext = np.argsort(sizes.sum(axis=1), kind="stable")
     and_rows(ext, up_ids, up)
     and_rows(perp_idx[ext], down_ids, down)
-
-    max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
-    K = KalmbachOML(L, tuple(seqs), up, down, ext, perp_idx, max_chains)
-    K.check_order_against_definition(None if n <= VERIFY_CAP else VERIFY_SAMPLE)
-    K.check_orthomodular()
-    return K
+    return up, down, ext
 
 
 # -- checkers -------------------------------------------------------------
@@ -468,11 +543,8 @@ def kblocks_check(K):
 
 def kcommute_check(K):
     """commutes(x, y) iff the union of term sets is a chain in L (all pairs)."""
-    for i in range(K.n):
-        js = np.arange(i, K.n)
-        if (K.commutes_idx(i, js) != K.union_is_chain(i, js)).any():
-            return False
-    return True
+    xs, ys = np.triu_indices(K.n)
+    return bool((K.commutes_idx(xs, ys) == K.union_is_chain(xs, ys)).all())
 
 
 def phi_chain(C, x_names):

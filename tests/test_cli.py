@@ -287,3 +287,38 @@ def test_keller_report_golden_text():
     text, ok = keller_report(3, seed=0, trials=100)
     assert ok
     assert text == KELLER_REPORT_3_0_100
+
+
+RN_REPORT_3 = """\
+rows: 3
+base_size: 16
+k_size: 3584
+k_atoms: 21
+max_chains: 21
+is_orthomodular: True
+orthomodular_witness: None
+center: ['()', '(a01,1)', '(a01,a32)', '(a01,a32,a33,1)', '(a01,a33)', '(a32,1)', '(a32,a33)', '(a33,1)']
+center_artifacts: ['(a01,a32)', '(a01,a32,a33,1)', '(a01,a33)', '(a32,1)', '(a32,a33)', '(a33,1)']
+is_directly_irreducible: True
+is_directly_irreducible_unrestricted: False
+atom_counts: internal=5 external=10 exceptional=5 boundary=13
+atom_claims:
+  atom=(a11,a12) role=internal noncommuting=4 count_ok=True pairwise_joins_dominate=True witness=('(a02,a03)', '(a03,a12)') witness_ok=True
+  atom=(a03,a12) role=external noncommuting=6 count_ok=True witness=('(a02,a11)', '(a11,a12)') witness_ok=True
+  atom=(a12,a13) role=external noncommuting=6 count_ok=True witness=('(a12,a21)', '(a21,a22)') witness_ok=True
+embedding_check: True
+covering1: False
+covering1_witness: ('(a01,a10)', '(a02,a03)')
+covering1_truncated: False
+covering1_truncated_witness: ('(a01,a10)', '(a02,a03)')
+covering2: True
+covering2_witness: None
+covering2_truncated: True
+covering2_truncated_witness: None
+"""
+
+
+def test_rn_report_golden_text(capsys):
+    # pins the whole ladder report: every verdict, count and least witness
+    assert main(["rn", "--rows", "3", "--report"]) == 0
+    assert capsys.readouterr().out == RN_REPORT_3

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import itertools
 import random
 import re
@@ -11,7 +12,10 @@ from omlkit.corpus import chain, diamond, mo
 from omlkit.errors import TooLarge
 from omlkit.kalmbach import (
     MAX_TABLE_BYTES,
+    VERIFY_CAP,
+    VERIFY_SAMPLE,
     KalmbachOML,
+    _kleq_tables,
     _pair_blocks,
     kalmbach,
     katoms_check,
@@ -28,6 +32,9 @@ from omlkit.lattice import find_isomorphism
 from omlkit.corpus import benzene_ortholattice, boolean_cube
 from omlkit.ortho import commutation_matrix, is_orthomodular
 from omlkit.rn import rn_lattice
+
+# the package re-exports the function kalmbach under the module's name
+KALMBACH_MODULE = importlib.import_module("omlkit.kalmbach")
 
 
 def test_chain_law_sizes():
@@ -232,6 +239,43 @@ def test_interval_queries_match_the_dense_order(kalmbach_corpus):
         assert (got == want).all(), nm
 
 
+def test_interval_members_takes_scalar_ids(kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        for a in K.atoms_idx():
+            k, s = K.interval_members(a, K.top)
+            k1, s1 = K.interval_members([a], [K.top])
+            assert (k.tolist(), s.tolist()) == (k1.tolist(), s1.tolist()), nm
+            assert len(s) == K.interval_sizes(a, K.top), nm
+
+
+def test_one_row_blocks_match_the_dense_references(kalmbach_corpus,
+                                                   monkeypatch):
+    # a budget of one byte makes every kernel step a single pair
+    monkeypatch.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
+    test_broadcast_queries_match_dense_references(kalmbach_corpus)
+    test_interval_queries_match_the_dense_order(kalmbach_corpus)
+
+
+def test_bound_checks_run_in_the_last_block(kalmbach_corpus, monkeypatch):
+    # one pair per block, and only the last pair reads the flipped row x;
+    # without the bit of x v x' (x ^ x') the bound set is empty
+    monkeypatch.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
+    K = kalmbach_corpus["2^3"]
+    ids = np.arange(K.n)
+    x = ids[-1]
+    px = K.perp(x)
+    for table, bound, end, message in (
+            ("_up", "join_batch", K.top,
+             "upper-bound set has no least element"),
+            ("_down", "meet_batch", K.bottom,
+             "lower-bound set has no greatest element")):
+        bad = _flipped(K, table, x, end)
+        head = getattr(bad, bound)(ids[:-1, None], px)
+        assert (head == getattr(K, bound)(ids[:-1, None], px)).all()
+        with pytest.raises(AssertionError, match=message):
+            getattr(bad, bound)(ids[:, None], px)
+
+
 def _scalar_pairs(n, sample, seed):
     """The documented sampled-pair rule of ``_pair_blocks``, a word at a time."""
     rng = random.Random(seed)
@@ -286,6 +330,23 @@ def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
         _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
     (i, j) = min(set(itertools.product(range(K.n), repeat=2)) - drawn)
     _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
+
+
+def test_sampled_order_check_on_a_large_k(rn3):
+    K = rn3[1]
+    assert K.n > VERIFY_CAP  # kalmbach() checked it on a sample
+    ids, inside = _kleq_tables(K.base, K.seqs)
+    i, j = next(_pair_blocks(K.n, VERIFY_SAMPLE, 0))
+    want = inside[j[:, None], ids[i]].all(axis=1)
+    leq = K.base.leq
+    assert want.tolist() == [kleq_terms(leq, K.seqs[x], K.seqs[y])
+                             for x, y in zip(i.tolist(), j.tolist())]
+    assert want.any() and not want.all()
+    x, y = int(i[1000]), int(j[1000])
+    assert (x, y) not in set(zip(i[:1000].tolist(), j[:1000].tolist()))
+    message = re.escape(f"order mismatch at ({K.names[x]}, {K.names[y]})")
+    with pytest.raises(AssertionError, match=message):
+        _flipped(K, "_up", x, y).check_order_against_definition(VERIFY_SAMPLE)
 
 
 def _scalar_orthomodular(K):
