@@ -214,16 +214,22 @@ def _rn_claims_hold(report):
 def _read(path):
     if path is None:
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OmlkitError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write(path, text):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OmlkitError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_io(p, multi_in=False):

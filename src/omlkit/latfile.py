@@ -10,6 +10,8 @@ The on-disk format is a YAML mapping with the fields
 All names are treated as strings.  ``export_dot`` writes the Hasse diagram in
 DOT format with covers as bottom-to-top directed edges; ``parse_lattice``
 accepts both the YAML format and the DOT output, so exports round-trip.
+YAML goes through PyYAML's libyaml classes when PyYAML was built with them,
+and through its pure-Python ones otherwise; both give the same documents.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def parse_lattice(text):
     if text.lstrip().startswith("digraph"):
         return parse_dot(text)
     try:
-        data = yaml.safe_load(text)
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", -1) + 1
         raise ParseError(line, str(exc).splitlines()[0]) from exc
@@ -118,8 +121,9 @@ def emit_lattice(doc):
         payload["perp"] = dict(doc.perp)
     if doc.metadata:
         payload["metadata"] = dict(doc.metadata)
-    return yaml.safe_dump(
-        payload, sort_keys=False, default_flow_style=None, width=100000
+    return yaml.dump(
+        payload, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
+        sort_keys=False, default_flow_style=None, width=100000,
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -502,6 +501,8 @@ def _relation_graph(L, perp):
     Edge (i, j) has ``rel``, the set of the relations "leq" and "perp" that
     hold from i to j.
     """
+    import networkx as nx
+
     rel = {(int(i), int(j)): {"leq"} for i, j in np.argwhere(L.leq)}
     if perp is not None:
         for i in range(L.n):
@@ -516,8 +517,11 @@ def find_isomorphism(L1, L2, perp1=None, perp2=None):
     """An order isomorphism L1 -> L2 as a name dict, or None.
 
     When both perp maps (index arrays) are given, the isomorphism must also
-    carry one orthocomplementation to the other.
+    carry one orthocomplementation to the other.  networkx is imported
+    here, on first use: no other code needs it.
     """
+    import networkx as nx
+
     gm = nx.isomorphism.DiGraphMatcher(
         _relation_graph(L1, perp1), _relation_graph(L2, perp2),
         edge_match=nx.isomorphism.categorical_edge_match("rel", None),

@@ -5,7 +5,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -179,7 +178,16 @@ class Block:
 
 
 def _verify_boolean_subalgebra(OL, members):
-    """Members must form a Boolean subalgebra with bounds; hard error if not."""
+    """Members must form a Boolean subalgebra with bounds; hard error if not.
+
+    Distributivity is tested through phi(x) = {atoms a of M : a <= x}, as a
+    bit mask: M is distributive iff |M| = 2^|A|, phi is injective and maps
+    joins to unions and meets to intersections.  Then phi is a lattice
+    isomorphism onto the power set of the atoms A.  Conversely M, closed
+    under the orthocomplement, is complemented, so a distributive M is a
+    finite Boolean algebra and phi its standard isomorphism.  The test
+    takes O(m^2) table lookups.
+    """
     L, perp = OL.lattice, OL.perp
     mem = np.array(sorted(members), dtype=np.int64)
     mset = set(int(i) for i in mem)
@@ -191,18 +199,63 @@ def _verify_boolean_subalgebra(OL, members):
     jj = L.join[np.ix_(mem, mem)]
     if not (np.isin(mm, mem).all() and np.isin(jj, mem).all()):
         raise AssertionError("block candidate not closed under meet/join")
-    # distributivity on all triples of members
+    le = L.leq[np.ix_(mem, mem)]
+    atoms = np.where(le.sum(axis=0) == 2)[0]   # just bottom and x are <= x
+    if len(mem) != 1 << len(atoms):
+        raise AssertionError("block candidate is not distributive")
+    bit = np.left_shift(np.int64(1), np.arange(len(atoms), dtype=np.int64))
+    phi = (le[atoms] * bit[:, None]).sum(axis=0)
     remap = np.full(L.n, -1, dtype=np.int64)
     remap[mem] = np.arange(len(mem))
-    m_loc = remap[mm]
-    j_loc = remap[jj]
-    lhs = m_loc[np.arange(len(mem))[:, None, None], j_loc[None, :, :]]
-    rhs = j_loc[
-        m_loc[:, :, None],
-        m_loc[:, None, :],
-    ]
-    if not (lhs == rhs).all():
+    if not (
+        len(np.unique(phi)) == len(mem)
+        and (phi[remap[jj]] == phi[:, None] | phi[None, :]).all()
+        and (phi[remap[mm]] == phi[:, None] & phi[None, :]).all()
+    ):
         raise AssertionError("block candidate is not distributive")
+
+
+def _maximal_cliques(adj):
+    """Maximal cliques of a graph given by int neighbour bitsets.
+
+    ``adj[v]`` has bit u set iff u and v are adjacent (no self-loops).
+    Bron-Kerbosch with Tomita pivoting (Bron & Kerbosch, CACM 16, 1973;
+    Tomita, Tanaka & Takahashi, TCS 363, 2006), on an explicit stack so a
+    large clique cannot exhaust the recursion limit.  Yields each maximal
+    clique once, as a bitset.
+    """
+
+    def frame(r, p, x):
+        # the pivot u in p | x with most neighbours in p; branch on p - N(u)
+        u = max(_bit_indices(p | x), key=lambda v: (p & adj[v]).bit_count())
+        return [r, p, x, p & ~adj[u]]
+
+    if not adj:
+        return
+    stack = [frame(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        top = stack[-1]
+        r, p, x, cand = top
+        if not cand:
+            stack.pop()
+            continue
+        low = cand & -cand
+        top[1], top[2], top[3] = p ^ low, x | low, cand ^ low
+        nbrs = adj[low.bit_length() - 1]
+        r2, p2, x2 = r | low, p & nbrs, x & nbrs
+        if p2:
+            stack.append(frame(r2, p2, x2))
+        elif not x2:
+            yield r2
+
+
+def _bit_indices(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def blocks(OL):
@@ -215,12 +268,12 @@ def blocks(OL):
     if not _om_status(OL):
         raise NotOML("blocks are only computed for orthomodular lattices")
     comm = commutation_matrix(OL)
-    g = nx.Graph()
-    g.add_nodes_from(range(OL.n))
-    xs, ys = np.where(np.triu(comm, k=1))
-    g.add_edges_from(zip(xs.tolist(), ys.tolist()))
+    np.fill_diagonal(comm, False)
+    rows = np.packbits(comm, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
     out = []
-    for clique in nx.find_cliques(g):
+    for mask in _maximal_cliques(adj):
+        clique = _bit_indices(mask)
         _verify_boolean_subalgebra(OL, clique)
         out.append(Block(frozenset(OL.names[i] for i in clique)))
     out.sort(key=lambda b: tuple(sorted(b.elements)))

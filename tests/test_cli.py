@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from omlkit.cli import keller_report, main, run_checks
 from omlkit.corpus import benzene_ortholattice, chain, mo, pentagon
@@ -81,6 +82,49 @@ def test_numeric_names_stay_strings():
     assert parse_lattice(emit_lattice(doc)) == doc
 
 
+def _hide_libyaml(monkeypatch):
+    """Hide PyYAML's libyaml classes, as on a PyYAML built without them."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+
+
+_BAD_YAML = ("elements: [a, b\n", "covers: []\n",
+             "elements: [a]\nunknown_field: 1\n",
+             'elements: ["a\\q"]\n', "elements: ['a]\n", "a: b: c\n")
+
+
+def _parse_error_lines():
+    """ParseError line numbers; libyaml words some reasons differently."""
+    out = []
+    for text in _BAD_YAML:
+        with pytest.raises(ParseError) as info:
+            parse_lattice(text)
+        out.append(info.value.line)
+    return out
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_libyaml_and_pure_python_agree(corpus, omls, kalmbach_corpus,
+                                       monkeypatch):
+    docs = [document_from_lattice(L) for L in (
+        *corpus.values(), *omls.values(), *kalmbach_corpus.values())]
+    texts = [emit_lattice(d) for d in docs]
+    parsed = [parse_lattice(t) for t in texts]
+    lines = _parse_error_lines()
+    _hide_libyaml(monkeypatch)
+    assert [emit_lattice(d) for d in docs] == texts
+    assert [parse_lattice(t) for t in texts] == parsed == docs
+    assert _parse_error_lines() == lines == [2, 0, 0, 1, 2, 1]
+
+
+def test_pure_python_yaml_fallback(monkeypatch, corpus):
+    _hide_libyaml(monkeypatch)
+    for L in corpus.values():
+        doc = document_from_lattice(L)
+        assert parse_lattice(emit_lattice(doc)) == doc
+    assert _parse_error_lines() == [2, 0, 0, 1, 2, 1]
+
+
 # -- run_checks ---------------------------------------------------------------
 
 
@@ -121,6 +165,21 @@ def test_check_exit_codes(write, tmp_path):
     assert main(["check", "--in", o6, "--out", out]) == 1
     bad = write("bad.yaml", "elements: [a]\ncovers:\n- [a, zz]\n")
     assert main(["check", "--in", bad, "--out", out]) == 2
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.yaml")
+    assert main(["check", "--in", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_2(write, tmp_path, capsys):
+    m2 = write("m2.yaml", _doc_text(mo(1)))
+    out = str(tmp_path / "no_such_dir" / "out.txt")
+    assert main(["check", "--in", m2, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_check_output_byte_identical(write, tmp_path):

@@ -1,6 +1,9 @@
 """Static hygiene checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,13 @@ def test_unused_import_detector():
                      "import os.path\nimport re\nfrom a import b as c, d\n"
                      "re.compile(d)\n")
     assert _unused_imports(tree) == [(2, "os"), (4, "c")]
+
+
+def test_cli_import_skips_networkx_and_sympy():
+    """Both load on first use only, so every CLI start stays cheap."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, omlkit.cli; "
+            "print([m for m in ('networkx', 'sympy') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
 from omlkit.corpus import (
@@ -13,8 +15,11 @@ from omlkit.corpus import (
 from omlkit.errors import NotComplement, NotOML, NotOrderInverting
 from omlkit.lattice import find_isomorphism, maximal_chains, predicates
 from omlkit.ortho import (
+    _maximal_cliques,
+    _verify_boolean_subalgebra,
     blocks,
     center,
+    commutation_matrix,
     commutator,
     commutes,
     decompose,
@@ -116,6 +121,75 @@ def test_blocks_cover_the_ol(omls):
         for b in blocks(OL):
             union |= b.elements
         assert union == set(OL.names), nm
+
+
+def _cliques_match_networkx(matrix):
+    """The bitset clique routine against nx.find_cliques on one graph."""
+    n = len(matrix)
+    adj = [sum(1 << j for j in range(n) if j != i and matrix[i][j])
+           for i in range(n)]
+    got = [frozenset(j for j in range(n) if mask >> j & 1)
+           for mask in _maximal_cliques(adj)]
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((i, j) for i in range(n) for j in range(i + 1, n)
+                     if matrix[i][j])
+    want = {frozenset(c) for c in nx.find_cliques(g)}
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_cliques_match_networkx_on_commutation_graphs(omls, kalmbach_corpus):
+    for OL in omls.values():
+        if is_orthomodular(OL)[0]:
+            _cliques_match_networkx(commutation_matrix(OL).tolist())
+    for K in kalmbach_corpus.values():
+        _cliques_match_networkx(
+            commutation_matrix(K.as_ortholattice()).tolist())
+
+
+def test_cliques_match_networkx_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randrange(1, 40)
+        p = rng.choice((0.1, 0.3, 0.5, 0.8, 0.95))
+        m = [[False] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            m[i][j] = m[j][i] = rng.random() < p
+        _cliques_match_networkx(m)
+
+
+def test_cliques_of_degenerate_graphs():
+    _cliques_match_networkx([[False]])
+    _cliques_match_networkx([[False] * 5 for _ in range(5)])
+    _cliques_match_networkx([[True] * 9 for _ in range(9)])
+    assert list(_maximal_cliques([])) == []
+    assert list(_maximal_cliques([0, 0, 0])) == [1, 2, 4]
+    assert list(_maximal_cliques([6, 5, 3])) == [7]
+
+
+def _ids(OL, names):
+    return [OL.index(nm) for nm in names]
+
+
+def test_whole_mo2_and_mo3_are_not_distributive():
+    for k in (2, 3):
+        OL = mo(k)
+        with pytest.raises(AssertionError, match="not distributive"):
+            _verify_boolean_subalgebra(OL, range(OL.n))
+
+
+def test_boolean_candidate_rejections():
+    cube = boolean_oml(3)
+    _verify_boolean_subalgebra(cube, range(cube.n))
+    with pytest.raises(AssertionError, match="misses a bound"):
+        _verify_boolean_subalgebra(
+            cube, [i for i in range(cube.n) if i != cube.top])
+    with pytest.raises(AssertionError, match="not closed under perp"):
+        _verify_boolean_subalgebra(cube, _ids(cube, ["000", "111", "100"]))
+    with pytest.raises(AssertionError, match="not closed under meet/join"):
+        _verify_boolean_subalgebra(cube, _ids(
+            cube, ["000", "111", "100", "011", "010", "101"]))
 
 
 def test_center_and_irreducibility():
