@@ -208,7 +208,7 @@ def _verify_boolean_subalgebra(OL, members):
     remap = np.full(L.n, -1, dtype=np.int64)
     remap[mem] = np.arange(len(mem))
     if not (
-        len(np.unique(phi)) == len(mem)
+        len(set(phi.tolist())) == len(mem)
         and (phi[remap[jj]] == phi[:, None] | phi[None, :]).all()
         and (phi[remap[mm]] == phi[:, None] & phi[None, :]).all()
     ):
