@@ -11,7 +11,9 @@ Up-sets and down-sets are packed bitsets with columns in a linear extension,
 so joins and meets are the first upper / last lower bound along it without
 materialising quadratic tables.  That format stays inside ``KalmbachOML``:
 callers see element ids only, through ``interval_members`` and
-``interval_sizes``.
+``interval_heights``.  In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x']
+(Kalmbach, *Orthomodular Lattices*, 1983), so ``interval_heights`` reads
+interval heights from one per-element table of the heights of [0, z].
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import NoBounds, NotOML, TooLarge
 from .lattice import BoundedLattice, maximal_chains
 from .ortho import blocks, ortholattice
 
@@ -240,17 +242,18 @@ class KalmbachOML:
         r, bit = np.nonzero(bits)
         return k[r], self._ext[byte[r] * 8 + bit]
 
-    def interval_sizes(self, xs, ys):
-        """|[x, y]| over broadcast id arrays xs and ys."""
-        parts = _blocks(xs, ys, self._up.shape[1])
-        if parts:
-            shape, parts = parts
-            return np.concatenate([self.interval_sizes(x, y)
-                                   for _, x, y in parts]).reshape(shape)
-        rows = self._up[xs] & self._down[ys]
-        # popcounts of whole words are fewer to add up than byte popcounts
-        words = rows.view(f"<u{np.gcd(rows.shape[-1], 8)}")
-        return np.bitwise_count(words).sum(axis=-1)
+    def interval_heights(self, xs, ys):
+        """min(height of [x, y], 3) over broadcast id arrays xs and ys, x <= y.
+
+        In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach,
+        *Orthomodular Lattices*, 1983), so this is the height of [0, z] at
+        z = y ^ x' = (y' v x)', read from a per-element table.  Raises NotOML
+        unless ``check_orthomodular`` has found K orthomodular.
+        """
+        if self.orthomodular is not True:
+            raise NotOML("interval heights need an orthomodular K")
+        z = self.perp_idx[self.join_batch(self.perp_idx[ys], xs)]
+        return self._down_facts[2][z]
 
     def _bound(self, xs, ys, upper):
         """The join (upper) or meet of x and y over broadcast id arrays.
@@ -294,20 +297,29 @@ class KalmbachOML:
         return int(self.perp_idx[i])
 
     @property
-    def _atoms(self):
-        """Ids of the atoms, the z with down(z) = {0, z}, ascending.
+    def _down_facts(self):
+        """(atoms, below, heights), computed once per ``_down`` table.
 
-        Computed once per ``_down`` table: a copy that is given another
-        table recomputes them.
+        atoms: the ids of the z with down(z) = {0, z}, ascending.  below[z]:
+        the atoms below z, packed.  heights[z]: min(height of [0, z], 3); it
+        is 2 when all of (0, z) are atoms: |down(z)| = |atoms below z| + 2.
         """
-        down, atoms = self.__dict__.get("_atoms_of", (None, None))
+        down, facts = self.__dict__.get("_down_facts_of", (None, None))
         if down is not self._down:
-            atoms = np.flatnonzero(np.bitwise_count(self._down).sum(axis=1) == 2)
-            self._atoms_of = (self._down, atoms)
-        return atoms
+            sizes = np.bitwise_count(self._down).sum(axis=1)
+            atoms = np.flatnonzero(sizes == 2)
+            cols = self._rank[atoms]
+            bits = ((self._down[:, cols >> 3] >> (cols & 7)) & 1).astype(bool)
+            heights = np.select(
+                [sizes == 1, sizes == 2, sizes == bits.sum(axis=1) + 2],
+                [0, 1, 2], 3)
+            facts = (atoms, np.packbits(bits, axis=1, bitorder="little"),
+                     heights)
+            self._down_facts_of = (self._down, facts)
+        return facts
 
     def atoms_idx(self):
-        return self._atoms.tolist()
+        return self._down_facts[0].tolist()
 
     def join_batch(self, xs, ys):
         """Joins x v y over broadcast id arrays xs and ys."""
@@ -399,10 +411,7 @@ class KalmbachOML:
         so the witness is the least (name x, name y) over all failing pairs.
         """
         perp, ranks = self.perp_idx, self._rank
-        cols = ranks[self._atoms]
-        # below[z]: the atoms below z, packed from the atom columns of down(z)
-        bits = ((self._down[:, cols >> 3] >> (cols & 7)) & 1).astype(bool)
-        below = np.packbits(bits, axis=1, bitorder="little")
+        below = self._down_facts[1]
         premise = not (below & below[perp]).any()
         suspect = np.zeros(self.n, dtype=bool)
         if premise:
@@ -459,6 +468,9 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     (for every y if perp is not an orthocomplement), and the least failing
     (name x, name y) pair is the witness.
     """
+    if L.bottom == L.top:
+        raise NoBounds("K(L) needs a bottom strictly below the top, and L "
+                       "has one element")
     seqs = _enumerate_even_chains(L, cap)
     n = len(seqs)
     nb = (n + 7) // 8

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import NonTotalPerp, ParseError, UnknownName
+from .errors import NonTotalPerp, NotOML, ParseError, UnknownName
 from .lattice import lattice_from_covers
 from .ortho import ortholattice
-
-_MEMBER_PAIRS = 1 << 14  # most (a, b) pairs per cover-search step
 
 
 @dataclass(frozen=True)
@@ -154,18 +152,20 @@ def document_from_lattice(L, perp=None, metadata=()):
 
 
 def _covers_from_protocol(K):
-    """Pairs (a, b) of K with [a, b] = {a, b}, found through interval queries.
+    """The pairs (a, b) of an orthomodular K with [a, b] = {a, b}.
 
-    Each member query covers about _MEMBER_PAIRS / n elements b, so it yields
-    at most _MEMBER_PAIRS pairs (a, b) with a <= b.
+    In an OML, a is covered by b iff p = b ^ a' is an atom; then b = a v p by
+    the orthomodular law, and p is orthogonal to a, so (a v p) ^ a' = p.  So
+    the covers are the (a, a v p) for each atom p and each a <= p', and each
+    occurs once.  Raises NotOML unless K has been found orthomodular.
     """
+    if K.orthomodular is not True:
+        raise NotOML("covers are read through atoms only in an orthomodular K")
     out = []
-    step = max(1, _MEMBER_PAIRS // K.n)
-    for c in range(0, K.n, step):
-        bs = np.arange(c, min(c + step, K.n))
-        k, a = K.interval_members(K.bottom, bs)
-        cover = K.interval_sizes(a, bs[k]) == 2
-        out += [(K.names[x], K.names[y]) for x, y in zip(a[cover], bs[k[cover]])]
+    for p in K.atoms_idx():
+        _, a = K.interval_members(K.bottom, K.perp(p))
+        b = K.join_batch(a, p)
+        out += [(K.names[x], K.names[y]) for x, y in zip(a, b)]
     return out
 
 

@@ -20,7 +20,6 @@ from .lattice import compactness_witness, lattice_from_covers
 
 MAX_ROWS = 9  # two-digit row indices would make grid names ambiguous
 BOUNDARY_MARGIN = 2  # see classify_atoms
-_MEMBER_CHUNK = 1024  # (x, j) pairs per interval-member query
 
 
 def _name(i, j):
@@ -175,30 +174,17 @@ def central_elements(K):
     )
 
 
-def _tall_intervals(K, xs, js):
-    """Whether [x, j] has a 4-chain x < s < t < j, over id arrays xs and js.
-
-    Each chunk of pairs makes one member query: some s of [x, j] other than
-    x and j has |[s, j]| > 2.
-    """
-    tall = np.zeros(len(xs), dtype=bool)
-    for c in range(0, len(xs), _MEMBER_CHUNK):
-        x, j = xs[c : c + _MEMBER_CHUNK], js[c : c + _MEMBER_CHUNK]
-        k, s = K.interval_members(x, j)
-        inner = (s != x[k]) & (s != j[k])
-        k, s = k[inner], s[inner]
-        tall[c + k[K.interval_sizes(s, j[k]) > 2]] = True
-    return tall
-
-
 def covering_report(K):
     """One sweep over all (atom, x) pairs for the 1- and 2-covering laws.
 
-    Each law is evaluated unrestricted and with intervals whose top touches
-    the artificial top element excluded ("truncated").  Witnesses are
-    (atom name, x name) pairs, least among those found.  The x above the
-    atom a are skipped: there a v x = x and [x, x] has one element, so
-    neither law can fail.
+    Law n fails at (a, x) when [x, a v x] has height over n, as read by
+    ``K.interval_heights`` off [0, (a v x) ^ x'], the image of the interval
+    under the OML isomorphism z -> z ^ x' (Kalmbach, *Orthomodular
+    Lattices*, 1983); so K must have been found orthomodular.  Each law is
+    evaluated unrestricted and with intervals whose top touches the
+    artificial top element excluded ("truncated").  Witnesses are (atom
+    name, x name) pairs, least among those found.  The x above the atom a
+    are skipped: there a v x = x, so neither law can fail.
     """
     base_top = K.base.top
     touches_top = np.array([base_top in s for s in K.seqs])
@@ -207,25 +193,20 @@ def covering_report(K):
     name_rank[by_name] = np.arange(K.n)
     least = {}  # law -> least name_rank[atom] * n + name_rank[x] found
 
-    def note(key, atoms, xs, hit):
+    def note(key, a, xs, hit):
         if hit.any():
-            found = int((name_rank[atoms] * K.n + name_rank[xs])[hit].min())
+            found = int((name_rank[a] * K.n + name_rank[xs])[hit].min())
             least[key] = min(least.get(key, found), found)
 
-    cand = []  # (atom, x, j) with |[x, j]| > 3, j = atom v x
     for a in K.atoms_idx():
         xs = np.setdiff1d(np.arange(K.n), K.interval_members(a, K.top)[1],
                           assume_unique=True)
         js = K.join_batch(a, xs)
-        counts = K.interval_sizes(xs, js)
-        note("covering1", a, xs, counts > 2)
-        note("covering1_truncated", a, xs, (counts > 2) & ~touches_top[js])
-        big = counts > 3
-        cand.append((np.full(big.sum(), a), xs[big], js[big]))
-    atoms, xs, js = map(np.concatenate, zip(*cand))
-    tall = _tall_intervals(K, xs, js)
-    note("covering2", atoms, xs, tall)
-    note("covering2_truncated", atoms, xs, tall & ~touches_top[js])
+        heights = K.interval_heights(xs, js)
+        for law in (1, 2):
+            fails = heights > law
+            note(f"covering{law}", a, xs, fails)
+            note(f"covering{law}_truncated", a, xs, fails & ~touches_top[js])
 
     result = {}
     for key in ("covering1", "covering1_truncated",

@@ -14,6 +14,7 @@ from omlkit.latfile import (
     parse_lattice,
 )
 from omlkit.errors import NonTotalPerp, ParseError, UnknownName
+from omlkit.rn import rn_lattice
 
 
 @pytest.fixture()
@@ -200,9 +201,36 @@ def test_kalmbach_subcommand_roundtrip(write, tmp_path):
 
 
 def test_kalmbach_covers_match_the_dense_order(kalmbach_corpus):
-    for nm, K in kalmbach_corpus.items():
+    ladders = {f"rn{r}": kalmbach(rn_lattice(r)) for r in (1, 2)}
+    assert [K.n for K in ladders.values()] == [64, 480]
+    for nm, K in {**kalmbach_corpus, **ladders}.items():
         want = tuple(sorted(covers(K.as_ortholattice().lattice)))
-        assert document_from_lattice(K).covers == want, nm
+        got = document_from_lattice(K).covers
+        assert len(set(got)) == len(got), nm  # no cover found twice
+        assert got == want, nm
+
+
+_ONE_ELEMENT = 'elements: ["0"]\ncovers: []\n'
+
+
+def test_one_element_lattice_has_no_kalmbach(write, tmp_path, capsys):
+    # K(L) needs 0 < 1; both commands report that instead of crashing
+    one = write("one.yaml", _ONE_ELEMENT)
+    out = str(tmp_path / "out.txt")
+    for argv in (["kalmbach", "--in", one], ["check", "--in", one, "--kalmbach"]):
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: K(L) needs a bottom strictly below"), argv
+
+
+def test_one_element_lattice_still_checks(write, capsys):
+    one = write("one.yaml", _ONE_ELEMENT)
+    assert main(["check", "--in", one]) == 0
+    labels = ("lattice", "modular", "semimodular", "dual_semimodular",
+              "covering", "atomic", "atomistic", "weakly_atomic",
+              "strongly_atomic", "distributive", "complemented",
+              "relatively_complemented")
+    assert capsys.readouterr().out == "".join(f"{x}: pass\n" for x in labels)
 
 
 def test_kalmbach_subcommand_rebuilds_k_of_c4(write, tmp_path):

@@ -40,6 +40,40 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(2, "os"), (4, "c")]
 
 
+def _unread_private_names(tree):
+    """Private names bound by module-level assignment that the module never
+    reads, such as a chunk size left behind by deleted code."""
+    bound = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.startswith("_")
+                        and not name.id.startswith("__")):
+                    bound.setdefault(name.id, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_module_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unread_private_names(tree) == []
+
+
+def test_unread_private_name_detector():
+    tree = ast.parse("__all__ = []\n_CHUNK = 8\n_USED = 2\nPUBLIC = 1\n"
+                     "_a, (_b, c) = 1, (2, 3)\n_T: int = 4\n"
+                     "def f(_local=_USED):\n    _inner = _b\n"
+                     "    return _inner\n")
+    assert _unread_private_names(tree) == [(2, "_CHUNK"), (5, "_a"),
+                                           (6, "_T")]
+
+
 def test_cli_import_skips_networkx_and_sympy():
     """Both load on first use only, so every CLI start stays cheap."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from omlkit.corpus import chain, diamond, mo
-from omlkit.errors import TooLarge
+from omlkit.errors import NotOML, TooLarge
 from omlkit.kalmbach import (
     MAX_TABLE_BYTES,
     VERIFY_CAP,
@@ -29,9 +29,10 @@ from omlkit.kalmbach import (
     seq_name,
 )
 from omlkit.lattice import find_isomorphism
+from omlkit.latfile import document_from_lattice
 from omlkit.corpus import benzene_ortholattice, boolean_cube
-from omlkit.ortho import commutation_matrix, is_orthomodular
-from omlkit.rn import rn_lattice
+from omlkit.ortho import _interval_height, commutation_matrix, is_orthomodular
+from omlkit.rn import covering_report, rn_lattice
 
 # the package re-exports the function kalmbach under the module's name
 KALMBACH_MODULE = importlib.import_module("omlkit.kalmbach")
@@ -229,10 +230,9 @@ def test_interval_queries_match_the_dense_order(kalmbach_corpus):
         leq = K.as_ortholattice().lattice.leq
         ids = np.arange(K.n)
         dense = leq.astype(np.int64) @ leq.astype(np.int64)
-        assert (K.interval_sizes(ids[:, None], ids) == dense).all(), nm
         xs, ys = (a.ravel() for a in np.meshgrid(ids, ids, indexing="ij"))
         k, s = K.interval_members(xs, ys)
-        assert len(k) == dense.sum(), nm  # no element twice
+        assert (np.bincount(k, minlength=K.n * K.n) == dense.ravel()).all(), nm
         got = np.zeros((K.n * K.n, K.n), dtype=bool)
         got[k, s] = True
         want = leq[xs] & leq[:, ys].T  # row k: the elements of [xs[k], ys[k]]
@@ -241,11 +241,34 @@ def test_interval_queries_match_the_dense_order(kalmbach_corpus):
 
 def test_interval_members_takes_scalar_ids(kalmbach_corpus):
     for nm, K in kalmbach_corpus.items():
+        leq = K.as_ortholattice().lattice.leq
         for a in K.atoms_idx():
             k, s = K.interval_members(a, K.top)
             k1, s1 = K.interval_members([a], [K.top])
             assert (k.tolist(), s.tolist()) == (k1.tolist(), s1.tolist()), nm
-            assert len(s) == K.interval_sizes(a, K.top), nm
+            assert len(s) == leq[a].sum(), nm  # [a, 1] is the up-set of a
+
+
+def test_interval_heights_match_the_dense_heights(kalmbach_corpus):
+    for nm, K in kalmbach_corpus.items():
+        L = K.as_ortholattice().lattice
+        xs, ys = np.nonzero(L.leq)
+        want = [min(_interval_height(L, x, y), 3) for x, y in zip(xs, ys)]
+        assert K.interval_heights(xs, ys).tolist() == want, nm
+        assert K.interval_heights(xs[0], ys[0]) == want[0], nm
+
+
+def test_isomorphism_queries_need_an_orthomodular_k(kalmbach_corpus):
+    # interval heights and covers go through z -> z ^ x', an OML fact
+    for verdict in (None, False):
+        K = copy.copy(kalmbach_corpus["2^3"])
+        K.orthomodular = verdict
+        with pytest.raises(NotOML):
+            K.interval_heights(K.bottom, K.top)
+        with pytest.raises(NotOML):
+            covering_report(K)
+        with pytest.raises(NotOML):
+            document_from_lattice(K)
 
 
 def test_one_row_blocks_match_the_dense_references(kalmbach_corpus,
@@ -254,6 +277,7 @@ def test_one_row_blocks_match_the_dense_references(kalmbach_corpus,
     monkeypatch.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
     test_broadcast_queries_match_dense_references(kalmbach_corpus)
     test_interval_queries_match_the_dense_order(kalmbach_corpus)
+    test_interval_heights_match_the_dense_heights(kalmbach_corpus)
 
 
 def test_bound_checks_run_in_the_last_block(kalmbach_corpus, monkeypatch):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from omlkit.kalmbach import kalmbach
 from omlkit.lattice import compactness_witness
 from omlkit.ortho import has_n_covering
 from omlkit.rn import (
-    _tall_intervals,
     central_elements,
     claim1_join_check,
     classify_atoms,
@@ -15,6 +16,9 @@ from omlkit.rn import (
     rn_lattice,
     row_shift_embedding_check,
 )
+
+# the package re-exports the function kalmbach under the module's name
+KALMBACH_MODULE = importlib.import_module("omlkit.kalmbach")
 
 
 def test_base_lattice_sizes():
@@ -141,7 +145,8 @@ def _two_covering_candidates(K):
     out = set()
     for a in K.atoms_idx():
         js = K.join_batch(a, xs)
-        big = K.interval_sizes(xs, js) > 3
+        k, _ = K.interval_members(xs, js)
+        big = np.bincount(k, minlength=K.n) > 3
         out.update(zip(xs[big].tolist(), js[big].tolist()))
     return sorted(out)
 
@@ -155,8 +160,8 @@ def _scalar_tall(K, x, j):
 
 def test_batched_height_test_matches_a_scalar_4_chain_search(
         kalmbach_corpus, rn3, monkeypatch):
-    # K(rn 3) has thousands of candidates, so several member-query chunks;
-    # its verdicts are all False, so the corpus reruns with tiny chunks
+    # K(rn 3) has thousands of candidates, so several kernel blocks; its
+    # verdicts are all False, so the corpus reruns with one pair per block
     seen = []
     for nm, K in [*kalmbach_corpus.items(), ("rn3", rn3[1])]:
         pairs = _two_covering_candidates(K)
@@ -164,10 +169,10 @@ def test_batched_height_test_matches_a_scalar_4_chain_search(
             continue
         xs, js = (np.array(c) for c in zip(*pairs))
         want = [_scalar_tall(K, x, j) for x, j in pairs]
-        assert _tall_intervals(K, xs, js).tolist() == want, nm
+        assert (K.interval_heights(xs, js) > 2).tolist() == want, nm
         if nm != "rn3":
             with monkeypatch.context() as m:
-                m.setattr("omlkit.rn._MEMBER_CHUNK", 3)
-                assert _tall_intervals(K, xs, js).tolist() == want, nm
+                m.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
+                assert (K.interval_heights(xs, js) > 2).tolist() == want, nm
         seen += want
     assert any(seen) and not all(seen)
