@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import OmlkitError
 from .hahn import GammaExp, tclass
 from .kalmbach import (
-    MAX_TABLE_BYTES,
+    DEFAULT_K_CAP,
     kalmbach,
     katoms_check,
     kblocks_check,
@@ -269,11 +269,11 @@ def _parser():
     r.add_argument("--rows", type=int, required=True)
     r.add_argument("--kalmbach", action="store_true",
                    help="emit K of the truncation instead of the base; a K "
-                        f"whose tables would pass {MAX_TABLE_BYTES} bytes "
-                        "(rows >= 5) raises")
+                        f"of more than {DEFAULT_K_CAP} elements (rows >= 6) "
+                        "raises")
     r.add_argument("--report", action="store_true",
                    help="emit the structure report (implies --kalmbach, "
-                        "with its table limit)")
+                        "with its size limit)")
     r.add_argument("--out", dest="output", metavar="FILE")
 
     h = sub.add_parser("hs", help="horizontal sum of ortholattice files")

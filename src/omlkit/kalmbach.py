@@ -2,18 +2,20 @@
 
 Elements of K(L) are even-length strictly increasing sequences in L, and
 x <= y when every interval [x_2i, x_2i+1] of x lies inside some interval
-[y_2j, y_2j+1] of y.  The order is built straight from that definition,
-factored through the intervals of L (see ``kalmbach``), and checked against
-the scalar ``kleq_terms`` (exhaustively for small K, on a seeded sample for
-large K).
+[y_2j, y_2j+1] of y.  The atoms of K(L) are the two-term sequences (c, d)
+over the covers c < d of L, and each element x has a signature A_x: the set
+of covers whose interval lies inside some interval of x.  The order is
+inclusion of signatures: a maximal chain of covers from x_2i to x_2i+1 has
+consecutive covers sharing an element, and the intervals of y are pairwise
+disjoint, so if every cover lies in some interval of y, they all lie in one.
+So distinct elements have distinct signatures, a meet is the element whose
+signature is A_x & A_y, and a join is (x' ^ y')'.  Signatures are built from
+the definition (see ``kalmbach``) and checked against the scalar
+``kleq_terms`` (exhaustively for small K, on a seeded sample for large K).
 
-Up-sets and down-sets are packed bitsets with columns in a linear extension,
-so joins and meets are the first upper / last lower bound along it without
-materialising quadratic tables.  That format stays inside ``KalmbachOML``:
-callers see element ids only, through ``interval_members`` and
-``interval_heights``.  In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x']
-(Kalmbach, *Orthomodular Lattices*, 1983), so ``interval_heights`` reads
-interval heights from one per-element table of the heights of [0, z].
+In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach, *Orthomodular
+Lattices*, 1983), so ``interval_heights`` reads interval heights from one
+per-element table of the heights of [0, z].
 """
 
 from __future__ import annotations
@@ -32,19 +34,12 @@ VERIFY_CAP = 1500
 VERIFY_SAMPLE = 200_000
 # as_ortholattice builds dense n x n tables only up to this many elements.
 MAX_DENSE_SIZE = 2048
-# The up-set and down-set tables take 2 * n * ceil(n / 8) bytes; a K(L) whose
-# tables would pass this raises TooLarge before anything is allocated.
-MAX_TABLE_BYTES = 1 << 30
 _CHECK_CHUNK = 1 << 14  # pairs per vectorised order-check step
-_OM_YS = 256  # upper ends y per step of the orthomodular pass
-# Table rows per kernel step take at most this many bytes, so the step's
-# temporaries stay in a core's cache.
+# union_is_chain compares at most this many bytes of terms per step, so the
+# step's temporaries stay in a core's cache.
 _BLOCK_BYTES = 1 << 19
-
-_FIRSTBIT = np.array([(i & -i).bit_length() - 1 if i else 8 for i in range(256)],
-                     dtype=np.int64)
-_LASTBIT = np.array([i.bit_length() - 1 if i else -1 for i in range(256)],
-                    dtype=np.int64)
+_UPPER = "upper-bound set has no least element"
+_LOWER = "lower-bound set has no greatest element"
 
 
 def seq_name(base, terms):
@@ -83,7 +78,17 @@ def kperp(L, x_names):
     return tuple(L.names[t] for t in kperp_terms(L, terms))
 
 
-def _enumerate_even_chains(L, cap):
+def _count_even_chains(L):
+    """The number of even-length chains of L, the size of K(L)."""
+    odd, even = [0] * L.n, [0] * L.n  # chains ending at v, by parity of length
+    for v in L.linear_extension():
+        below = [u for u in range(L.n) if u != v and L.leq[u, v]]
+        odd[v] = 1 + sum(even[u] for u in below)
+        even[v] = sum(odd[u] for u in below)
+    return 1 + sum(even)
+
+
+def _enumerate_even_chains(L):
     """All even-length chains of L as rank-sorted index tuples, DFS order."""
     ext = L.linear_extension()
     leq = L.leq
@@ -92,10 +97,6 @@ def _enumerate_even_chains(L, cap):
     def walk(seq, start):
         if len(seq) % 2 == 0:
             out.append(seq)
-            if len(out) > cap:
-                raise TooLarge(
-                    f"K(L) would exceed the configured cap of {cap} elements"
-                )
         for k in range(start, len(ext)):
             v = ext[k]
             if not seq or (seq[-1] != v and leq[seq[-1], v]):
@@ -116,30 +117,27 @@ def _interval_terms(L, seqs):
 
 
 def _kleq_tables(L, seqs):
-    """(ids, inside) with kleq_terms(L.leq, seqs[x], seqs[y]) equal to
-    ``inside[y, ids[x]].all()``, built from the order of L alone.
+    """(ids, contains) with kleq_terms(L.leq, seqs[x], seqs[y]) equal to
+    ``contains[ids[y][:, None], ids[x]].any(axis=0).all()``, built from the
+    order of L alone.
 
     ids[x, t] numbers the interval (x_2t, x_2t+1) among the distinct padded
-    intervals of ``_interval_terms``, and inside[y, d] says that interval d
-    lies inside some interval of y.
+    intervals of ``_interval_terms``, and contains[c, d] says that interval
+    d lies inside interval c.
     """
     shape = (L.n, L.n)
     ends, ids = np.unique(np.ravel_multi_index(_interval_terms(L, seqs), shape),
                           return_inverse=True)
-    ids = ids.reshape(len(seqs), -1)
     a, b = np.unravel_index(ends, shape)
-    contains = L.leq[a[:, None], a] & L.leq[b, b[:, None]]  # d inside c
-    inside = contains[ids[:, 0]]
-    for t in ids[:, 1:].T:
-        inside |= contains[t]
-    return ids, inside
+    contains = L.leq[a[:, None], a] & L.leq[b, b[:, None]]
+    return ids.reshape(len(seqs), -1), contains
 
 
 def _blocks(xs, ys, row_bytes):
-    """Slices of the broadcast of id arrays xs and ys, for a table kernel.
+    """Slices of the broadcast of id arrays xs and ys, for a blocked kernel.
 
     None when one step of _BLOCK_BYTES, at ``row_bytes`` per pair, holds the
-    whole broadcast.  Otherwise (shape, [(start, xs, ys), ...]): the raveled
+    whole broadcast.  Otherwise (shape, [(xs, ys), ...]): the raveled
     broadcast cut into slices of at most that many pairs.
     """
     b = np.broadcast(xs, ys)
@@ -147,7 +145,7 @@ def _blocks(xs, ys, row_bytes):
     if b.size <= step:
         return None
     xs, ys = (np.broadcast_to(a, b.shape).ravel() for a in (xs, ys))
-    return b.shape, [(s, xs[s : s + step], ys[s : s + step])
+    return b.shape, [(xs[s : s + step], ys[s : s + step])
                      for s in range(0, b.size, step)]
 
 
@@ -177,31 +175,77 @@ def _pair_blocks(n, sample, seed):
         yield draws[0::2], draws[1::2]
 
 
+def _pack(bits):
+    """(m, w) little-endian uint64 words holding the columns of a bool (m, c)
+    matrix, bit k of a row in word k // 64; w = ceil(c / 64), at least 1."""
+    m, c = bits.shape
+    words = np.zeros((m, 64 * max(1, -(-c // 64))), dtype=bool)
+    words[:, :c] = bits
+    return np.packbits(words, axis=1, bitorder="little").view("<u8")
+
+
+def _unpack(sig):
+    """The (m, 64 w) bool matrix of the bits of (m, w) signature words."""
+    return np.unpackbits(np.ascontiguousarray(sig).view(np.uint8), axis=1,
+                         bitorder="little").view(bool)
+
+
+def _keys(sig):
+    """One sortable key per signature of a (..., w) word array: the word
+    itself when w = 1, else the row's bytes."""
+    if sig.shape[-1] == 1:
+        return sig[..., 0]
+    sig = np.ascontiguousarray(sig)
+    return sig.view(np.dtype((np.void, sig.itemsize * sig.shape[-1])))[..., 0]
+
+
+def _signatures(L, seqs):
+    """The signatures of the seqs, one bit per cover (c, d) of L: bit k of
+    row x says that [c, d] lies inside some interval [x_2i, x_2i+1]."""
+    lo, hi = _interval_terms(L, seqs)
+    covers = np.argwhere(L.cover_matrix)
+    inside = np.zeros((len(seqs), len(covers)), dtype=bool)
+    for k, (c, d) in enumerate(covers):
+        inside[:, k] = (L.leq[lo, c] & L.leq[d, hi]).any(axis=1)
+    return _pack(inside)
+
+
 class KalmbachOML:
-    """K(L) with bitset-backed order, join, meet and orthocomplement.
+    """K(L) with its order, join, meet and orthocomplement read from atom
+    signatures.
 
     Satisfies the same element protocol as BoundedLattice (n, names, index,
     leq_idx, join_idx, meet_idx, bottom, top) so generic helpers such as
-    compactness_witness work on it directly.
+    compactness_witness work on it directly.  ``signatures`` is the (n, w)
+    little-endian uint64 array of the element signatures, bit k of row x set
+    when the k-th atom lies below x; assigning it rebuilds the sorted
+    lookup that meets and joins go through.
     """
 
-    def __init__(self, base, seqs, up_packed, down_packed, ext, perp_idx,
-                 max_chains):
+    def __init__(self, base, seqs, signatures, perp_idx, max_chains):
         self.base = base
         self.seqs = seqs
         self.names = tuple(seq_name(base, s) for s in seqs)
         self._index = {nm: i for i, nm in enumerate(self.names)}
-        self._up = up_packed          # columns in linear-extension order
-        self._down = down_packed      # columns in linear-extension order
-        self._ext = ext               # ext[pos] = element id
-        self._rank = np.empty(len(seqs), dtype=np.int64)
-        self._rank[ext] = np.arange(len(seqs))
+        self.signatures = signatures
         self.perp_idx = perp_idx
         self.max_chains = max_chains  # base maximal chains as index tuples
         self.bottom = self._index["()"]
         self.top = self._index[seq_name(base, (base.bottom, base.top))]
         self.orthomodular = None      # set by check_orthomodular
         self.orthomodular_witness = None
+
+    @property
+    def signatures(self):
+        return self._signatures
+
+    @signatures.setter
+    def signatures(self, sig):
+        self._signatures = sig
+        keys = _keys(sig)
+        self._ids = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._ids]
+        self.__dict__.pop("_heights", None)
 
     # -- protocol -------------------------------------------------------
 
@@ -215,32 +259,73 @@ class KalmbachOML:
     def seq_names(self, i):
         return tuple(self.base.names[t] for t in self.seqs[i])
 
+    def leq_batch(self, xs, ys):
+        """Whether x <= y, A_x inside A_y, over broadcast id arrays xs, ys."""
+        sig = self.signatures
+        return ~(sig[xs] & ~sig[ys]).any(axis=-1)
+
     def leq_idx(self, i, j):
-        r = self._rank[j]
-        return bool(self._up[i, r >> 3] & (1 << (int(r) & 7)))
+        return bool(self.leq_batch(i, j))
 
-    def interval_members(self, xs, ys):
-        """(k, s) with one pair for every element s of [xs[k], ys[k]].
+    def _lookup(self, sig, message):
+        """The ids of the elements with the signatures in the (..., w) array
+        sig; raises AssertionError(message) if any of them has none."""
+        keys = _keys(sig)
+        pos = np.minimum(np.searchsorted(self._sorted, keys), self.n - 1)
+        if not (self._sorted[pos] == keys).all():
+            raise AssertionError(message)
+        return self._ids[pos]
 
-        xs and ys are ids or id arrays that broadcast to at most one
-        dimension; scalars count as one-element arrays.  Only the nonzero
-        bytes of the interval rows are unpacked; k is ascending, and within
-        one k the s follow the linear extension.
+    def meet_batch(self, xs, ys):
+        """Meets x ^ y over broadcast id arrays: the element whose signature
+        is A_x & A_y, which exists whenever the meet does."""
+        sig = self.signatures
+        return self._lookup(sig[xs] & sig[ys], _LOWER)
+
+    def join_batch(self, xs, ys):
+        """Joins x v y = (x' ^ y')' over broadcast id arrays, each checked to
+        lie above x and y.  This needs perp to be an order-reversing
+        involution, a premise that ``check_orthomodular`` checks."""
+        sig, perp = self.signatures, self.perp_idx
+        js = perp[self._lookup(sig[perp[xs]] & sig[perp[ys]], _UPPER)]
+        if not (self.leq_batch(xs, js) & self.leq_batch(ys, js)).all():
+            raise AssertionError(_UPPER)
+        return js
+
+    def join_idx(self, i, j):
+        return int(self.join_batch(i, j))
+
+    def meet_idx(self, i, j):
+        return int(self.meet_batch(i, j))
+
+    def perp(self, i):
+        return int(self.perp_idx[i])
+
+    def atoms_idx(self):
+        """The elements whose signature has one bit, ascending."""
+        sizes = np.bitwise_count(self.signatures).sum(axis=1)
+        return np.flatnonzero(sizes == 1).tolist()
+
+    def _atom_bits(self):
+        """(atom ids, the signature bit of each atom) as two lists."""
+        atoms = self.atoms_idx()
+        return atoms, _unpack(self.signatures[atoms]).argmax(axis=1).tolist()
+
+    @cached_property
+    def _heights(self):
+        """min(height of [0, z], 3) for every z, built on first use.
+
+        The height is |A_z| up to 1.  Above that it is 2 unless [p, z] has
+        height 2 or more for some atom p <= z; in an OML [p, z] is
+        isomorphic to [0, z ^ p'], whose signature is A_z & A_p'.
         """
-        xs, ys = np.atleast_1d(xs, ys)
-        parts = _blocks(xs, ys, self._up.shape[1])
-        if parts:
-            ks, ss = [], []
-            for start, x, y in parts[1]:
-                k, s = self.interval_members(x, y)
-                ks.append(k + start)
-                ss.append(s)
-            return np.concatenate(ks), np.concatenate(ss)
-        rows = self._up[xs] & self._down[ys]
-        k, byte = np.nonzero(rows)
-        bits = np.unpackbits(rows[k, byte][:, None], axis=1, bitorder="little")
-        r, bit = np.nonzero(bits)
-        return k[r], self._ext[byte[r] * 8 + bit]
+        sig = self.signatures
+        has = _unpack(sig)
+        tall = np.zeros(self.n, dtype=bool)
+        for p, k in zip(*self._atom_bits()):
+            below = np.bitwise_count(sig & sig[self.perp_idx[p]]).sum(axis=1)
+            tall |= has[:, k] & (below > 1)
+        return np.where(tall, 3, np.minimum(has.sum(axis=1), 2))
 
     def interval_heights(self, xs, ys):
         """min(height of [x, y], 3) over broadcast id arrays xs and ys, x <= y.
@@ -253,81 +338,7 @@ class KalmbachOML:
         if self.orthomodular is not True:
             raise NotOML("interval heights need an orthomodular K")
         z = self.perp_idx[self.join_batch(self.perp_idx[ys], xs)]
-        return self._down_facts[2][z]
-
-    def _bound(self, xs, ys, upper):
-        """The join (upper) or meet of x and y over broadcast id arrays.
-
-        The bound set up(x) & up(y) (down(x) & down(y)) is scanned for its
-        first (last) element along the linear extension, which is then
-        checked to lie below (above) every other element of the set.  An
-        empty bound set raises too.  Every block of the input is checked.
-        """
-        table = self._up if upper else self._down
-        parts = _blocks(xs, ys, table.shape[1])
-        if parts:
-            shape, parts = parts
-            return np.concatenate([self._bound(x, y, upper)
-                                   for _, x, y in parts]).reshape(shape)
-        bounds = table[xs] & table[ys]
-        nb = bounds.shape[-1]
-        flat = bounds.reshape(-1, nb)
-        if upper:
-            byte, bit = (flat != 0).argmax(axis=1), _FIRSTBIT
-        else:
-            byte = nb - 1 - (flat[:, ::-1] != 0).argmax(axis=1)
-            bit = _LASTBIT
-        message = ("upper-bound set has no least element" if upper
-                   else "lower-bound set has no greatest element")
-        chosen = flat[np.arange(len(flat)), byte]
-        if not chosen.all():
-            raise AssertionError(message)
-        out = self._ext[(byte * 8 + bit[chosen]).reshape(bounds.shape[:-1])]
-        if (bounds & ~table[out]).any():
-            raise AssertionError(message)
-        return out
-
-    def join_idx(self, i, j):
-        return int(self._bound(i, j, True))
-
-    def meet_idx(self, i, j):
-        return int(self._bound(i, j, False))
-
-    def perp(self, i):
-        return int(self.perp_idx[i])
-
-    @property
-    def _down_facts(self):
-        """(atoms, below, heights), computed once per ``_down`` table.
-
-        atoms: the ids of the z with down(z) = {0, z}, ascending.  below[z]:
-        the atoms below z, packed.  heights[z]: min(height of [0, z], 3); it
-        is 2 when all of (0, z) are atoms: |down(z)| = |atoms below z| + 2.
-        """
-        down, facts = self.__dict__.get("_down_facts_of", (None, None))
-        if down is not self._down:
-            sizes = np.bitwise_count(self._down).sum(axis=1)
-            atoms = np.flatnonzero(sizes == 2)
-            cols = self._rank[atoms]
-            bits = ((self._down[:, cols >> 3] >> (cols & 7)) & 1).astype(bool)
-            heights = np.select(
-                [sizes == 1, sizes == 2, sizes == bits.sum(axis=1) + 2],
-                [0, 1, 2], 3)
-            facts = (atoms, np.packbits(bits, axis=1, bitorder="little"),
-                     heights)
-            self._down_facts_of = (self._down, facts)
-        return facts
-
-    def atoms_idx(self):
-        return self._down_facts[0].tolist()
-
-    def join_batch(self, xs, ys):
-        """Joins x v y over broadcast id arrays xs and ys."""
-        return self._bound(xs, ys, True)
-
-    def meet_batch(self, xs, ys):
-        """Meets x ^ y over broadcast id arrays xs and ys."""
-        return self._bound(xs, ys, False)
+        return self._heights[z]
 
     def commutes_idx(self, xs, ys):
         """Whether x and y commute, over broadcast id arrays xs and ys.
@@ -357,7 +368,7 @@ class KalmbachOML:
         if parts:
             shape, parts = parts
             return np.concatenate([self.union_is_chain(x, y)
-                                   for _, x, y in parts]).reshape(shape)
+                                   for x, y in parts]).reshape(shape)
         leq = self.base.leq
         tx = self._terms[xs][..., :, None]
         ty = self._terms[ys][..., None, :]
@@ -366,71 +377,81 @@ class KalmbachOML:
     # -- verification ---------------------------------------------------
 
     def check_order_against_definition(self, sample=None, seed=0):
-        """Compare the built up-sets and down-sets with definitional kleq.
+        """Check that the signatures are distinct and that their inclusion
+        is the definitional kleq.
 
-        Exhaustive when ``sample`` is None, else on a seeded random sample of
-        index pairs.  Pairs are evaluated in vectorised blocks; raises
-        AssertionError at the first disagreeing pair.  The definition is
-        read from ``_kleq_tables``, which never looks at the tables under test.
+        Distinctness is checked on all n signatures.  The order is compared
+        exhaustively when ``sample`` is None, else on a seeded random sample
+        of index pairs, in vectorised blocks.  Raises AssertionError at the
+        first equal pair or disagreeing pair.  The definition is read from
+        ``_kleq_tables``, which never looks at the signatures.
         """
-        ids, inside = _kleq_tables(self.base, self.seqs)
+        same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+        if len(same):
+            x, y = self._ids[same[0]], self._ids[same[0] + 1]
+            raise AssertionError(
+                f"equal signatures at ({self.names[x]}, {self.names[y]})")
+        ids, contains = _kleq_tables(self.base, self.seqs)
         for i, j in _pair_blocks(self.n, sample, seed):
-            want = inside[j[:, None], ids[i]].all(axis=1)
-            ri, rj = self._rank[i], self._rank[j]
-            up = (self._up[i, rj >> 3] >> (rj & 7)) & 1
-            down = (self._down[j, ri >> 3] >> (ri & 7)) & 1
-            bad = np.flatnonzero((up != want) | (down != want))
+            want = contains[ids[j][:, :, None], ids[i][:, None, :]]
+            want = want.any(axis=1).all(axis=1)
+            bad = np.flatnonzero(self.leq_batch(i, j) != want)
             if len(bad):
                 x, y = int(i[bad[0]]), int(j[bad[0]])
                 raise AssertionError(
                     f"order mismatch at ({self.names[x]}, {self.names[y]})"
                 )
 
-    def _strict_pairs(self, ys):
-        """(x, y) id arrays of every pair x < y with y in ys, _OM_YS ys a step."""
-        for s in range(0, len(ys), _OM_YS):
-            chunk = ys[s : s + _OM_YS]
-            k, xs = self.interval_members(self.bottom, chunk)
-            strict = xs != chunk[k]
-            yield xs[strict], chunk[k[strict]]
-
     def check_orthomodular(self):
-        """Exhaustive orthomodular-law check over all comparable pairs.
+        """Exhaustive orthomodular-law check, one pass over (element, atom)
+        pairs.
 
-        The law is x <= y implies x v (x' ^ y) = y.  In an ortholattice it
-        holds iff x <= y and x' ^ y = 0 imply x = y (Kalmbach, *Orthomodular
-        Lattices*, 1983), and K is finite, so x' ^ y = 0 iff no atom lies
-        below both.  One pass over the pairs x < y therefore ANDs the packed
-        sets of atoms below x' and below y, and marks y suspect when they are
-        disjoint.  The same pass checks the premise: y' <= x' on every such
-        pair, and no atom lies below both x and x', for every x.  Under that
-        premise the law fails with upper end y exactly when y is suspect:
-        x v (x' ^ y) = z < y gives z' ^ y <= x' ^ y <= z, so z' ^ y <= z ^ z'
-        = 0.  The original law is then rerun with joins and meets over the
-        pairs of the suspect ys only, or of every y when the premise fails,
-        so the witness is the least (name x, name y) over all failing pairs.
+        The premise is that perp is an orthocomplement: perp is an
+        involution, A_x & A_x' is empty, and A_x' = {p : A_x inside A_p'},
+        which makes perp reverse the order.  If it fails, the verdict is
+        False and the witness is (name x, name x') for the least name x at
+        which it fails.
+
+        Under the premise the law x <= y implies x v (x' ^ y) = y holds iff
+        x <= y and x' ^ y = 0 imply x = y (Kalmbach, *Orthomodular Lattices*,
+        1983), and it fails with upper end y iff some atom p outside
+        A_y | A_y' has A_(y ^ p')' & A_y empty.  (If x < y and x' ^ y = 0,
+        then w = x' > y' has A_w & A_y empty, and any p in A_w - A_y' gives
+        y' v p <= w; conversely x = y ^ p' is such an x.)  The law itself is
+        then rerun with joins and meets at those y only, so the witness is
+        the least (name x, name y) over all failing pairs.
         """
-        perp, ranks = self.perp_idx, self._rank
-        below = self._down_facts[1]
-        premise = not (below & below[perp]).any()
+        sig, perp = self.signatures, self.perp_idx
+        ids = np.arange(self.n)
+        psig = sig[perp]
+        has, phas = _unpack(sig), _unpack(psig)
+        atoms, bits = self._atom_bits()
+        rebuilt = np.zeros_like(has)  # bit k of p: is A_x inside A_p'?
+        for p, k in zip(atoms, bits):
+            rebuilt[:, k] = ~(sig & ~sig[perp[p]]).any(axis=1)
+        fails = ((perp[perp] != ids) | (sig & psig).any(axis=1)
+                 | (rebuilt != phas).any(axis=1))
+        if fails.any():
+            x = min(np.flatnonzero(fails), key=self.names.__getitem__)
+            return self._verdict((self.names[x], self.names[perp[x]]))
         suspect = np.zeros(self.n, dtype=bool)
-        if premise:
-            for xs, ys in self._strict_pairs(np.arange(self.n)):
-                rx = ranks[perp[xs]]
-                if not ((self._up[perp[ys], rx >> 3] >> (rx & 7)) & 1).all():
-                    premise = False
-                    break
-                suspect[ys[~(below[perp[xs]] & below[ys]).any(axis=1)]] = True
-        law_ys = np.flatnonzero(suspect) if premise else np.arange(self.n)
+        for p, k in zip(atoms, bits):
+            ys = np.flatnonzero(~has[:, k] & ~phas[:, k])
+            m = self.meet_batch(ys, perp[p])
+            suspect[ys[~(sig[perp[m]] & sig[ys]).any(axis=1)]] = True
         worst = None
-        for xs, ys in self._strict_pairs(law_ys):
-            bad = self.join_batch(xs, self.meet_batch(perp[xs], ys)) != ys
-            for x, y in zip(xs[bad], ys[bad]):
+        for y in np.flatnonzero(suspect):
+            xs = ids[self.leq_batch(ids, y) & (ids != y)]
+            bad = self.join_batch(xs, self.meet_batch(perp[xs], y)) != y
+            for x in xs[bad]:
                 cand = (self.names[x], self.names[y])
                 worst = cand if worst is None else min(worst, cand)
-        self.orthomodular = worst is None
-        self.orthomodular_witness = worst
-        return self.orthomodular, worst
+        return self._verdict(worst)
+
+    def _verdict(self, witness):
+        self.orthomodular = witness is None
+        self.orthomodular_witness = witness
+        return self.orthomodular, witness
 
     # -- materialization --------------------------------------------------
 
@@ -441,9 +462,8 @@ class KalmbachOML:
                 f"K has {self.n} elements; table materialization capped at "
                 f"{MAX_DENSE_SIZE}"
             )
-        full = np.zeros((self.n, self.n), dtype=bool)
-        bits = np.unpackbits(self._up, axis=1, bitorder="little")
-        full[:, self._ext] = bits[:, : self.n]
+        ids = np.arange(self.n)
+        full = self.leq_batch(ids[:, None], ids)
         L = BoundedLattice.from_leq(self.names, full, max_size=MAX_DENSE_SIZE)
         perp_map = {self.names[i]: self.names[self.perp(i)] for i in range(self.n)}
         return ortholattice(L, perp_map)
@@ -452,84 +472,32 @@ class KalmbachOML:
 def kalmbach(L, cap=DEFAULT_K_CAP):
     """Construct K(L) for a finite bounded lattice L.
 
-    Raises TooLarge when the even-length-chain count exceeds ``cap`` or the
-    up/down tables would pass MAX_TABLE_BYTES.  The order is the definitional
-    one, factored through the intervals of L: U[a, b] is the set of sequences
-    y with some y_2j <= a and b <= y_2j+1, up(x) is the AND of U[x_2i, x_2i+1]
-    over the intervals of x, and down(y) = {x : x' in up(y')}, because x <= y
-    exactly when y' <= x'.  Columns follow the linear extension that sorts
-    elements stably by down-set size.  The tables are checked against
+    Raises TooLarge, before enumerating anything, when the even-length-chain
+    count exceeds ``cap``.  The signatures are built from the definition:
+    bit k of x says that the k-th cover of L lies inside an interval of x.
+    They are checked distinct, and their inclusion is checked against
     ``kleq_terms`` (exhaustively up to VERIFY_CAP elements, on VERIFY_SAMPLE
-    seeded pairs beyond), and the orthomodular law is checked exhaustively
-    over all comparable pairs by ``check_orthomodular``, in Kalmbach's
-    equivalent form (*Orthomodular Lattices*, 1983): x <= y and x' ^ y = 0
-    imply x = y, where x' ^ y = 0 iff no atom lies below both x' and y.
-    Joins and meets rerun the law itself only for the y above some such x
-    (for every y if perp is not an orthocomplement), and the least failing
-    (name x, name y) pair is the witness.
+    seeded pairs beyond).  The orthomodular law is then checked exhaustively
+    by ``check_orthomodular``, one pass over (element, atom) pairs.
     """
     if L.bottom == L.top:
         raise NoBounds("K(L) needs a bottom strictly below the top, and L "
                        "has one element")
-    seqs = _enumerate_even_chains(L, cap)
-    n = len(seqs)
-    nb = (n + 7) // 8
-    if 2 * n * nb > MAX_TABLE_BYTES:
+    n = _count_even_chains(L)
+    if n > cap:
         raise TooLarge(
-            f"K(L) has {n} elements; its up/down tables would take "
-            f"{2 * n * nb} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
+            f"K(L) has {n} elements, over the configured cap of {cap} elements"
         )
+    seqs = _enumerate_even_chains(L)
     kidx = {s: i for i, s in enumerate(seqs)}
     rank = {e: k for k, e in enumerate(L.linear_extension())}
     perp_idx = np.array([kidx[_perp_terms(L, s, rank)] for s in seqs],
                         dtype=np.int64)
-    up, down, ext = _order_tables(L, seqs, perp_idx)
-
     max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
-    K = KalmbachOML(L, tuple(seqs), up, down, ext, perp_idx, max_chains)
+    K = KalmbachOML(L, tuple(seqs), _signatures(L, seqs), perp_idx, max_chains)
     K.check_order_against_definition(None if n <= VERIFY_CAP else VERIFY_SAMPLE)
     K.check_orthomodular()
     return K
-
-
-def _order_tables(L, seqs, perp_idx):
-    """(up, down, ext): the packed up-set and down-set tables of K(L), with
-    columns in the linear extension ext (see ``kalmbach``).  The interval
-    rows U they are formed from are freed on return, before any check runs.
-    """
-    n = len(seqs)
-    nb = (n + 7) // 8
-    # U[k] for the k-th strictly comparable pair (a, b) of L; the last row is
-    # all of K and stands for the padding interval (top, bottom).
-    lo, hi = _interval_terms(L, seqs)
-    a_s, b_s = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
-    U = np.ones((len(a_s) + 1, n), dtype=bool)
-    for k, (a, b) in enumerate(zip(a_s, b_s)):
-        U[k] = (L.leq[lo, a] & L.leq[b, hi]).any(axis=1)
-    interval_id = np.full((L.n, L.n), len(a_s))
-    interval_id[a_s, b_s] = np.arange(len(a_s))
-    up_ids = interval_id[lo, hi]
-    down_ids = up_ids[perp_idx]
-
-    def and_rows(cols, ids, out):
-        """out[r] = AND of the U rows ids[r], with U's columns taken at cols."""
-        table = np.packbits(U[:, cols], axis=1, bitorder="little")
-        step = max(1, _BLOCK_BYTES // nb)
-        for s in range(0, n, step):
-            block = out[s : s + step]
-            block[:] = table[ids[s : s + step, 0]]
-            for k in ids[s : s + step, 1:].T:
-                block &= table[k]
-        return out
-
-    up = np.empty((n, nb), dtype=np.uint8)
-    down = np.empty((n, nb), dtype=np.uint8)
-    # |down(y)| = |up(y')| in any column order; up holds the byte popcounts
-    sizes = np.bitwise_count(and_rows(slice(None), down_ids, down), out=up)
-    ext = np.argsort(sizes.sum(axis=1), kind="stable")
-    and_rows(ext, up_ids, up)
-    and_rows(perp_idx[ext], down_ids, down)
-    return up, down, ext
 
 
 # -- checkers -------------------------------------------------------------

@@ -161,9 +161,11 @@ def _covers_from_protocol(K):
     """
     if K.orthomodular is not True:
         raise NotOML("covers are read through atoms only in an orthomodular K")
+    atoms = np.array(K.atoms_idx())
+    ids = np.arange(K.n)
     out = []
-    for p in K.atoms_idx():
-        _, a = K.interval_members(K.bottom, K.perp(p))
+    for p, below in zip(atoms, K.leq_batch(ids, K.perp_idx[atoms][:, None])):
+        a = ids[below]
         b = K.join_batch(a, p)
         out += [(K.names[x], K.names[y]) for x, y in zip(a, b)]
     return out

@@ -198,9 +198,11 @@ def covering_report(K):
             found = int((name_rank[a] * K.n + name_rank[xs])[hit].min())
             least[key] = min(least.get(key, found), found)
 
-    for a in K.atoms_idx():
-        xs = np.setdiff1d(np.arange(K.n), K.interval_members(a, K.top)[1],
-                          assume_unique=True)
+    atoms = np.array(K.atoms_idx())
+    ids = np.arange(K.n)
+    above = K.leq_batch(atoms[:, None], ids)
+    for a, x_above in zip(atoms, above):
+        xs = ids[~x_above]
         js = K.join_batch(a, xs)
         heights = K.interval_heights(xs, js)
         for law in (1, 2):

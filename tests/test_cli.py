@@ -3,7 +3,7 @@ import yaml
 
 from omlkit.cli import keller_report, main, run_checks
 from omlkit.corpus import benzene_ortholattice, chain, mo, pentagon
-from omlkit.kalmbach import MAX_TABLE_BYTES, kalmbach
+from omlkit.kalmbach import DEFAULT_K_CAP, kalmbach
 from omlkit.lattice import covers, find_isomorphism
 from omlkit.latfile import (
     build_lattice,
@@ -271,10 +271,10 @@ def test_rn_subcommand(write, tmp_path):
 
 
 def test_rn_report_over_the_table_limit_exits_2(capsys):
-    # K(rn 5) has 199,680 elements: 2 * n * ceil(n / 8) bytes of tables
-    assert main(["rn", "--rows", "5", "--report"]) == 2
+    # K(rn 6) would have 1,490,432 elements, over the default cap
+    assert main(["rn", "--rows", "6", "--report"]) == 2
     err = capsys.readouterr().err
-    assert "9968025600" in err and str(MAX_TABLE_BYTES) in err
+    assert "1490432" in err and str(DEFAULT_K_CAP) in err
 
 
 def test_rn_report_exits_1_when_a_claim_fails(rn3, monkeypatch, tmp_path):

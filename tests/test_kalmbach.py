@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from omlkit.corpus import chain, diamond, mo
 from omlkit.errors import NotOML, TooLarge
 from omlkit.kalmbach import (
-    MAX_TABLE_BYTES,
+    DEFAULT_K_CAP,
     VERIFY_CAP,
     VERIFY_SAMPLE,
     KalmbachOML,
@@ -28,10 +29,15 @@ from omlkit.kalmbach import (
     phi_chain,
     seq_name,
 )
-from omlkit.lattice import find_isomorphism
+from omlkit.lattice import find_isomorphism, lattice_from_covers
 from omlkit.latfile import document_from_lattice
-from omlkit.corpus import benzene_ortholattice, boolean_cube
-from omlkit.ortho import _interval_height, commutation_matrix, is_orthomodular
+from omlkit.corpus import boolean_cube
+from omlkit.ortho import (
+    _interval_height,
+    commutation_matrix,
+    is_orthomodular,
+    ortholattice,
+)
 from omlkit.rn import covering_report, rn_lattice
 
 # the package re-exports the function kalmbach under the module's name
@@ -201,10 +207,9 @@ def test_orthomodularity_verdict_stored(kalmbach_corpus):
 
 
 def test_table_limit_raises_before_allocating():
-    # K(rn 5) has 199,680 elements; its tables would take about 10 GB
-    n = 199_680
-    projected = 2 * n * ((n + 7) // 8)
-    L = rn_lattice(5)
+    # K(rn 6) would have 1,490,432 elements, over the default cap; the count
+    # comes from the chains of L, before any sequence is enumerated
+    L = rn_lattice(6)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge) as exc:
@@ -212,9 +217,9 @@ def test_table_limit_raises_before_allocating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert str(projected) in str(exc.value)
-    assert str(MAX_TABLE_BYTES) in str(exc.value)
-    assert peak < MAX_TABLE_BYTES // 4
+    assert "1490432" in str(exc.value)
+    assert str(DEFAULT_K_CAP) in str(exc.value)
+    assert peak < 256 << 20
 
 
 def test_leq_idx_matches_scalar_definition(corpus, kalmbach_corpus):
@@ -225,28 +230,32 @@ def test_leq_idx_matches_scalar_definition(corpus, kalmbach_corpus):
                 assert K.leq_idx(i, j) == kleq_terms(leq, x, y), (nm, i, j)
 
 
+def _definitional_leq(K):
+    """The dense order of K, pair by pair from ``kleq_terms``."""
+    return np.array([[kleq_terms(K.base.leq, x, y) for y in K.seqs]
+                     for x in K.seqs])
+
+
 def test_interval_queries_match_the_dense_order(kalmbach_corpus):
+    # s lies in [x, y] iff x <= s and s <= y, one broadcast leq_batch each
     for nm, K in kalmbach_corpus.items():
-        leq = K.as_ortholattice().lattice.leq
+        leq = _definitional_leq(K)
         ids = np.arange(K.n)
-        dense = leq.astype(np.int64) @ leq.astype(np.int64)
-        xs, ys = (a.ravel() for a in np.meshgrid(ids, ids, indexing="ij"))
-        k, s = K.interval_members(xs, ys)
-        assert (np.bincount(k, minlength=K.n * K.n) == dense.ravel()).all(), nm
-        got = np.zeros((K.n * K.n, K.n), dtype=bool)
-        got[k, s] = True
-        want = leq[xs] & leq[:, ys].T  # row k: the elements of [xs[k], ys[k]]
-        assert (got == want).all(), nm
+        assert (K.leq_batch(ids[:, None], ids) == leq).all(), nm
+        got = (K.leq_batch(ids[:, None, None], ids[:, None])
+               & K.leq_batch(ids[:, None], ids))
+        assert (got == leq[:, :, None] & leq[None, :, :]).all(), nm
 
 
-def test_interval_members_takes_scalar_ids(kalmbach_corpus):
+def test_leq_batch_takes_scalar_ids(kalmbach_corpus):
     for nm, K in kalmbach_corpus.items():
-        leq = K.as_ortholattice().lattice.leq
+        leq = _definitional_leq(K)
+        ids = np.arange(K.n)
         for a in K.atoms_idx():
-            k, s = K.interval_members(a, K.top)
-            k1, s1 = K.interval_members([a], [K.top])
-            assert (k.tolist(), s.tolist()) == (k1.tolist(), s1.tolist()), nm
-            assert len(s) == leq[a].sum(), nm  # [a, 1] is the up-set of a
+            row = K.leq_batch(a, ids)
+            assert row.tolist() == K.leq_batch([a], [ids])[0].tolist(), nm
+            assert row.tolist() == leq[a].tolist(), nm
+            assert np.ndim(K.leq_batch(a, K.top)) == 0, nm
 
 
 def test_interval_heights_match_the_dense_heights(kalmbach_corpus):
@@ -273,31 +282,51 @@ def test_isomorphism_queries_need_an_orthomodular_k(kalmbach_corpus):
 
 def test_one_row_blocks_match_the_dense_references(kalmbach_corpus,
                                                    monkeypatch):
-    # a budget of one byte makes every kernel step a single pair
+    # a budget of one byte makes every union_is_chain step a single pair
     monkeypatch.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
     test_broadcast_queries_match_dense_references(kalmbach_corpus)
     test_interval_queries_match_the_dense_order(kalmbach_corpus)
     test_interval_heights_match_the_dense_heights(kalmbach_corpus)
 
 
-def test_bound_checks_run_in_the_last_block(kalmbach_corpus, monkeypatch):
-    # one pair per block, and only the last pair reads the flipped row x;
-    # without the bit of x v x' (x ^ x') the bound set is empty
-    monkeypatch.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
+def _flipped(K, x, k):
+    """A copy of K with bit k of the signature of x flipped."""
+    bad = copy.copy(K)
+    sig = K.signatures.copy()
+    sig[x, k >> 6] ^= np.uint64(1 << (k & 63))
+    bad.signatures = sig
+    return bad
+
+
+def _bit(K, atom):
+    """The signature bit of an atom of K."""
+    return int(K.signatures[atom, 0]).bit_length() - 1
+
+
+def _fresh_bits(K, x, bits):
+    """The pairs of bits that, set in the signature of x, give a signature
+    that no element has, and whose pair is no element's signature either."""
+    known = set(K.signatures[:, 0].tolist())
+    return [(b, c) for b, c in itertools.combinations(bits, 2)
+            if (1 << b | 1 << c) not in known
+            and (int(K.signatures[x, 0]) | 1 << b | 1 << c) not in known]
+
+
+def test_lookups_are_checked_up_to_the_last_pair(kalmbach_corpus):
+    # meets of every x with y = x_last'; only the last pair reads the row of
+    # x_last, which gains two atoms of y that have no element of their own
     K = kalmbach_corpus["2^3"]
     ids = np.arange(K.n)
     x = ids[-1]
-    px = K.perp(x)
-    for table, bound, end, message in (
-            ("_up", "join_batch", K.top,
-             "upper-bound set has no least element"),
-            ("_down", "meet_batch", K.bottom,
-             "lower-bound set has no greatest element")):
-        bad = _flipped(K, table, x, end)
-        head = getattr(bad, bound)(ids[:-1, None], px)
-        assert (head == getattr(K, bound)(ids[:-1, None], px)).all()
-        with pytest.raises(AssertionError, match=message):
-            getattr(bad, bound)(ids[:, None], px)
+    y = K.perp(x)
+    bits = [_bit(K, a) for a in K.atoms_idx() if K.leq_idx(a, y)]
+    b, c = _fresh_bits(K, x, bits)[0]
+    bad = _flipped(_flipped(K, x, b), x, c)
+    head = bad.meet_batch(ids[:-1], y)
+    assert (head == K.meet_batch(ids[:-1], y)).all()
+    with pytest.raises(AssertionError,
+                       match="lower-bound set has no greatest element"):
+        bad.meet_batch(ids, y)
 
 
 def _scalar_pairs(n, sample, seed):
@@ -329,48 +358,75 @@ def test_pair_blocks_match_the_scalar_generators():
     assert got == expected
 
 
-def _flipped(K, table, i, j):
-    """A copy of K with the bit of pair (i, j) flipped in _up or _down."""
-    bad = copy.copy(K)
-    rows = getattr(K, table).copy()
-    r = int(K._rank[j])
-    rows[i, r >> 3] ^= 1 << (r & 7)
-    setattr(bad, table, rows)
-    return bad
+def _order_message(K, pair):
+    i, j = pair
+    return re.escape(f"order mismatch at ({K.names[i]}, {K.names[j]})")
 
 
 def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
+    # every single-bit flip of every signature: exhaustively the check names
+    # the first pair whose order changed, and on a sample it raises exactly
+    # when the sample draws such a pair; a flip that makes two signatures
+    # equal is caught in both modes, since distinctness is never sampled
     K = kalmbach_corpus["2^3"]
-    i, j = 3, K.n - 2
-    message = re.escape(f"order mismatch at ({K.names[i]}, {K.names[j]})")
-    with pytest.raises(AssertionError, match=message):
-        _flipped(K, "_up", i, j).check_order_against_definition()
-    with pytest.raises(AssertionError, match=message):
-        _flipped(K, "_down", j, i).check_order_against_definition()
-    # sampled: raises exactly when the flipped pair is among the drawn pairs
-    drawn = set(_scalar_pairs(K.n, 50, 5))
-    (i, j) = min(drawn)
-    with pytest.raises(AssertionError, match="order mismatch"):
-        _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
-    (i, j) = min(set(itertools.product(range(K.n), repeat=2)) - drawn)
-    _flipped(K, "_up", i, j).check_order_against_definition(50, 5)
+    ids = np.arange(K.n)
+    leq = K.leq_batch(ids[:, None], ids)
+    drawn = _scalar_pairs(K.n, 50, 5)
+    outcomes = set()
+    for x, k in itertools.product(range(K.n), range(len(K.atoms_idx()))):
+        bad = _flipped(K, x, k)
+        sig = bad.signatures[:, 0].tolist()
+        if len(set(sig)) < K.n:
+            y = next(y for y in range(K.n) if y != x and sig[y] == sig[x])
+            names = sorted((x, y))
+            message = re.escape(f"equal signatures at ({K.names[names[0]]}, "
+                                f"{K.names[names[1]]})")
+            for args in ((), (50, 5)):
+                with pytest.raises(AssertionError, match=message):
+                    bad.check_order_against_definition(*args)
+            outcomes.add("equal")
+            continue
+        changed = bad.leq_batch(ids[:, None], ids) != leq
+        wrong = [tuple(p) for p in np.argwhere(changed).tolist()]
+        with pytest.raises(AssertionError, match=_order_message(K, wrong[0])):
+            bad.check_order_against_definition()
+        hits = [p for p in drawn if changed[p]]
+        if hits:
+            with pytest.raises(AssertionError,
+                               match=_order_message(K, hits[0])):
+                bad.check_order_against_definition(50, 5)
+        else:
+            bad.check_order_against_definition(50, 5)
+        outcomes.add(bool(hits))
+    assert outcomes == {"equal", True, False}
 
 
 def test_sampled_order_check_on_a_large_k(rn3):
     K = rn3[1]
     assert K.n > VERIFY_CAP  # kalmbach() checked it on a sample
-    ids, inside = _kleq_tables(K.base, K.seqs)
+    ids, contains = _kleq_tables(K.base, K.seqs)
     i, j = next(_pair_blocks(K.n, VERIFY_SAMPLE, 0))
-    want = inside[j[:, None], ids[i]].all(axis=1)
+    want = contains[ids[j][:, :, None], ids[i][:, None, :]]
+    want = want.any(axis=1).all(axis=1)
     leq = K.base.leq
     assert want.tolist() == [kleq_terms(leq, K.seqs[x], K.seqs[y])
                              for x, y in zip(i.tolist(), j.tolist())]
     assert want.any() and not want.all()
-    x, y = int(i[1000]), int(j[1000])
-    assert (x, y) not in set(zip(i[:1000].tolist(), j[:1000].tolist()))
-    message = re.escape(f"order mismatch at ({K.names[x]}, {K.names[y]})")
+    # flip a bit of an element that the first 1000 draws miss; the check
+    # names the first drawn pair whose order then differs from kleq
+    early = set(i[:1000].tolist()) | set(j[:1000].tolist())
+    for x, k in itertools.product(range(K.n), range(len(K.atoms_idx()))):
+        if x in early:
+            continue
+        bad = _flipped(K, x, k)
+        differs = np.flatnonzero(bad.leq_batch(i, j) != want)
+        if len(differs) and len(set(bad.signatures[:, 0].tolist())) == K.n:
+            break
+    first = differs[0]
+    assert first >= 1000
+    message = _order_message(K, (int(i[first]), int(j[first])))
     with pytest.raises(AssertionError, match=message):
-        _flipped(K, "_up", x, y).check_order_against_definition(VERIFY_SAMPLE)
+        bad.check_order_against_definition(VERIFY_SAMPLE)
 
 
 def _scalar_orthomodular(K):
@@ -384,29 +440,14 @@ def _scalar_orthomodular(K):
     return worst is None, worst
 
 
-def test_orthomodular_check_matches_scalar_loop(kalmbach_corpus):
-    K = kalmbach_corpus["2^3"]
-    assert K.check_orthomodular() == _scalar_orthomodular(K) == (True, None)
-    bad = copy.copy(K)
-    bad.perp_idx = K.perp_idx.copy()
-    a, b = K.atoms_idx()[:2]
-    bad.perp_idx[[a, b]] = bad.perp_idx[[b, a]]
-    verdict = bad.check_orthomodular()
-    assert verdict == _scalar_orthomodular(bad)
-    assert verdict[0] is False
-    assert _premise(K) == (True, True) and _premise(bad) != (True, True)
-    # the same with two elements that are neither atoms nor bounds; the law
-    # then fails at a y above no x with x' ^ y = 0, so only the broken
-    # premise sends the check to the full rerun
-    c, d = K.index("(000,100,110,111)"), K.index("(000,110)")
-    bad = copy.copy(K)
-    bad.perp_idx = K.perp_idx.copy()
-    bad.perp_idx[[c, d]] = bad.perp_idx[[d, c]]
-    law, atom = _law_and_atom_test_ys(bad)
-    assert _premise(bad) != (True, True) and law - atom
-    verdict = bad.check_orthomodular()
-    assert verdict == _scalar_orthomodular(bad)
-    assert verdict[0] is False
+def _scalar_law_fails(K):
+    """False from the scalar law loop, or True if one of its joins or meets
+    raises; it never holds under a broken orthocomplement."""
+    try:
+        return _scalar_orthomodular(K)[0] is False
+    except AssertionError as exc:
+        return str(exc) in ("upper-bound set has no least element",
+                            "lower-bound set has no greatest element")
 
 
 def _premise(K):
@@ -416,6 +457,64 @@ def _premise(K):
         all(K.leq_idx(K.perp(y), K.perp(x))
             for x in range(K.n) for y in range(K.n) if K.leq_idx(x, y)),
     )
+
+
+def _premise_witness(K):
+    """(x, x') for the least name x at which perp is no involution, x and x'
+    share an atom, or the atoms below x' are not the p with x <= p'."""
+    atoms = K.atoms_idx()
+
+    def fails(x):
+        px = K.perp(x)
+        return (K.perp(px) != x
+                or any(K.leq_idx(p, x) and K.leq_idx(p, px) for p in atoms)
+                or any(K.leq_idx(p, px) != K.leq_idx(x, K.perp(p))
+                       for p in atoms))
+
+    bad = [x for x in range(K.n) if fails(x)]
+    if not bad:
+        return None
+    x = min(bad, key=K.names.__getitem__)
+    return K.names[x], K.names[K.perp(x)]
+
+
+def _with_perp(K, perp_idx):
+    bad = copy.copy(K)
+    bad.perp_idx = perp_idx
+    return bad
+
+
+def _swapped(K, a, b):
+    perp = K.perp_idx.copy()
+    perp[[a, b]] = perp[[b, a]]
+    return _with_perp(K, perp)
+
+
+def test_orthomodular_check_matches_scalar_loop(kalmbach_corpus):
+    # once the premise fails the witness is (x, x') for the least name x at
+    # which it fails, whether the swapped pair is two atoms or two elements
+    # that are neither atoms nor bounds
+    K = kalmbach_corpus["2^3"]
+    assert K.check_orthomodular() == _scalar_orthomodular(K) == (True, None)
+    assert _premise(K) == (True, True) and _premise_witness(K) is None
+    for pair in (K.atoms_idx()[:2],
+                 [K.index("(000,100,110,111)"), K.index("(000,110)")]):
+        bad = _swapped(K, *pair)
+        assert _premise(bad) != (True, True)
+        witness = _premise_witness(bad)
+        assert bad.check_orthomodular() == (False, witness)
+        assert _scalar_law_fails(bad)
+    # an involution with x ^ x' = 0 that does not reverse the order: two
+    # atoms that are not orthogonal trade complements
+    a, b = next((a, b) for a, b in itertools.combinations(K.atoms_idx(), 2)
+                if not K.leq_idx(a, K.perp(b)))
+    perp = K.perp_idx.copy()
+    perp[[a, b, perp[a], perp[b]]] = perp[b], perp[a], b, a
+    bad = _with_perp(K, perp)
+    assert _premise(bad) == (True, False)
+    witness = _premise_witness(bad)
+    assert witness is not None
+    assert bad.check_orthomodular() == (False, witness)
 
 
 def _law_and_atom_test_ys(K):
@@ -432,33 +531,29 @@ def _law_and_atom_test_ys(K):
 
 
 def test_orthomodular_check_tests_each_half_of_its_premise(kalmbach_corpus):
-    # perp breaks one half of the premise, and the law fails at a y that
-    # the atom test alone would pass
+    # perp breaks one half of the premise; the witness is then (x, x') for
+    # the least name x at which the premise fails, here the bottom
     K = kalmbach_corpus["M2"]
     a = K.index("(a2,1)")
-    bottom_to_atom = copy.copy(K)
-    bottom_to_atom.perp_idx = K.perp_idx.copy()
-    bottom_to_atom.perp_idx[K.bottom] = a
-    constant = copy.copy(K)
-    constant.perp_idx = np.full(K.n, a)
-    for bad, premise in ((bottom_to_atom, (True, False)),
-                         (constant, (False, True))):
-        law, atom = _law_and_atom_test_ys(bad)
-        assert _premise(bad) == premise and law - atom
-        verdict = bad.check_orthomodular()
-        assert verdict == _scalar_orthomodular(bad)
-        assert verdict[0] is False
+    bottom_to_atom = K.perp_idx.copy()
+    bottom_to_atom[K.bottom] = a
+    for perp, premise in ((bottom_to_atom, (True, False)),
+                          (np.full(K.n, a), (False, True))):
+        bad = _with_perp(K, perp)
+        assert _premise(bad) == premise
+        assert _premise_witness(bad) == ("()", "(a2,1)")
+        assert bad.check_orthomodular() == (False, ("()", "(a2,1)"))
+        assert _scalar_law_fails(bad)
 
 
-def test_orthomodular_check_searches_no_bounds_on_an_oml(kalmbach_corpus,
-                                                         monkeypatch):
-    # in an OML no x < y has x' ^ y = 0, so the law is never rerun
+def test_orthomodular_check_reruns_no_law_on_an_oml(kalmbach_corpus, rn3,
+                                                    monkeypatch):
+    # in an OML no y is suspect, so the law is never rerun with joins
     def refuse(*args):
-        raise AssertionError("join or meet searched")
+        raise AssertionError("join searched")
 
     monkeypatch.setattr(KalmbachOML, "join_batch", refuse)
-    monkeypatch.setattr(KalmbachOML, "meet_batch", refuse)
-    for nm, K in kalmbach_corpus.items():
+    for nm, K in [*kalmbach_corpus.items(), ("rn3", rn3[1])]:
         assert K.check_orthomodular() == (True, None), nm
 
 
@@ -467,32 +562,51 @@ def test_orthomodular_check_matches_scalar_loop_on_corpus(kalmbach_corpus):
         assert K.check_orthomodular() == _scalar_orthomodular(K), nm
 
 
+def _five_cycle_ortholattice():
+    """The closed sets of the 5-cycle orthogonality space: 0, the atoms
+    p_i, the coatoms q_i = {i-1, i+1} = p_i' and 1.  It is an atomistic
+    ortholattice that is not orthomodular."""
+    atoms = [f"p{i}" for i in range(5)]
+    coatoms = [f"q{i}" for i in range(5)]
+    covers = [("0", p) for p in atoms] + [(q, "1") for q in coatoms]
+    covers += [(atoms[(i + d) % 5], coatoms[i])
+               for i in range(5) for d in (-1, 1)]
+    L = lattice_from_covers(["0", *atoms, *coatoms, "1"], covers)
+    perp = {"0": "1", "1": "0"}
+    for p, q in zip(atoms, coatoms):
+        perp.update({p: q, q: p})
+    return ortholattice(L, perp)
+
+
 def test_orthomodular_witness_under_a_valid_orthocomplement():
-    # a K-shaped object over benzene O6: a valid ortholattice that is not
-    # orthomodular, so the law fails while its premise holds
-    OL = benzene_ortholattice()
+    # a K-shaped object over the 5-cycle lattice, its signatures the atoms
+    # below each element: the premise holds, and the law fails at every
+    # coatom
+    OL = _five_cycle_ortholattice()
     L = OL.lattice
-    ext = np.array(L.linear_extension())
+    atoms = np.flatnonzero(L.cover_matrix[L.bottom])
+    below = np.zeros((L.n, 64), dtype=bool)
+    below[:, : len(atoms)] = L.leq[atoms].T
     K = object.__new__(KalmbachOML)
-    K._up = np.packbits(L.leq[:, ext], axis=1, bitorder="little")
-    K._down = np.packbits(L.leq.T[:, ext], axis=1, bitorder="little")
-    K._ext = ext
-    K._rank = np.argsort(ext)
+    K.signatures = np.packbits(below, axis=1, bitorder="little").view("<u8")
     K.perp_idx = OL.perp.astype(np.int64)
     K.names = L.names
     K.seqs = L.names  # only its length, K.n, is read
     K.bottom, K.top = L.bottom, L.top
     law, atom = _law_and_atom_test_ys(K)
-    assert _premise(K) == (True, True)
-    assert law == atom == {OL.index("b"), OL.index("d")}
-    assert K.check_orthomodular() == is_orthomodular(OL) == (False, ("a", "b"))
-    assert _scalar_orthomodular(K) == (False, ("a", "b"))
+    assert _premise(K) == (True, True) and _premise_witness(K) is None
+    assert law == atom == {OL.index(f"q{i}") for i in range(5)}
+    verdict = is_orthomodular(OL)
+    assert verdict[0] is False
+    assert K.check_orthomodular() == _scalar_orthomodular(K) == verdict
 
 
 def test_atoms_follow_a_replaced_down_table(kalmbach_corpus):
+    # the atoms are the one-bit signatures: an atom given a second bit is
+    # an atom no more
     K = kalmbach_corpus["2^3"]
-    a = K.atoms_idx()[0]
-    bad = _flipped(K, "_down", a, K.bottom)
+    a, b = K.atoms_idx()[:2]
+    bad = _flipped(K, a, _bit(K, b))
     assert a in K.atoms_idx() and a not in bad.atoms_idx()
 
 
@@ -514,58 +628,72 @@ def test_broadcast_queries_match_dense_references(kalmbach_corpus):
         assert (K.union_is_chain(ids[:, None], ids) == np.array(chains)).all(), nm
 
 
-def _two_bounds(K, leq, bound):
-    """(x, y, w) with w a bound of y that is incomparable with bound(x, y).
-
-    The bound differs from x, so a flipped bit in row x leaves its row intact.
-    """
-    for x, y, w in itertools.product(range(K.n), repeat=3):
-        z = bound(x, y)
-        if z != x and leq(y, w) and not (leq(z, w) or leq(w, z)):
-            return x, y, w
-    raise AssertionError("no such triple")
-
-
 def test_bound_check_rejects_two_extreme_bounds(kalmbach_corpus):
-    # a flipped bit puts w into the bound set of (x, y) next to the true
-    # bound; the set then has two minimal (maximal) elements
+    # a meet x ^ y is found by its signature A_x & A_y: once the element
+    # with that signature gains a bit, x and y have no greatest lower bound
+    # left to find.  A join (x' ^ y')' is checked to lie above x and y: once
+    # the join loses a bit of x, it no longer does
     K = kalmbach_corpus["2^3"]
     ids = np.arange(K.n)
-    x, y, w = _two_bounds(K, K.leq_idx, K.join_idx)
-    bad = _flipped(K, "_up", x, w)
-    message = "upper-bound set has no least element"
-    with pytest.raises(AssertionError, match=message):
-        bad.join_idx(x, y)
-    with pytest.raises(AssertionError, match=message):
-        bad.join_batch(ids[:, None], ids)
-    x, y, w = _two_bounds(K, lambda a, b: K.leq_idx(b, a), K.meet_idx)
-    bad = _flipped(K, "_down", x, w)
+    pairs = list(itertools.combinations(range(K.n), 2))
+    x, y, z = next((x, y, K.meet_idx(x, y)) for x, y in pairs
+                   if K.meet_idx(x, y) not in (x, y, K.bottom))
+    known = set(K.signatures[:, 0].tolist())
+    k = next(k for k in range(len(K.atoms_idx()))
+             if int(K.signatures[z, 0]) ^ 1 << k not in known)
+    bad = _flipped(K, z, k)
     message = "lower-bound set has no greatest element"
     with pytest.raises(AssertionError, match=message):
         bad.meet_idx(x, y)
     with pytest.raises(AssertionError, match=message):
         bad.meet_batch(ids[:, None], ids)
+    x, y, j = next((x, y, K.join_idx(x, y)) for x, y in pairs
+                   if K.join_idx(x, y) not in (x, y, K.top) and x != K.bottom)
+    k = next(_bit(K, a) for a in K.atoms_idx() if K.leq_idx(a, x)
+             and int(K.signatures[j, 0]) ^ 1 << _bit(K, a) not in known)
+    bad = _flipped(K, j, k)
+    message = "upper-bound set has no least element"
+    with pytest.raises(AssertionError, match=message):
+        bad.join_idx(x, y)
+    with pytest.raises(AssertionError, match=message):
+        bad.join_batch(ids[:, None], ids)
 
 
 def test_bound_check_rejects_an_empty_bound_set(kalmbach_corpus):
-    # x v x' is the top, and x ^ x' the bottom; without that bit the bound
-    # set is empty, and no element may be returned for it
+    # x ^ x' is the bottom, found by the empty signature, and x v x' is
+    # (x' ^ x)'; once the bottom has a bit no element has the empty
+    # signature, and no element may be returned for either
     K = kalmbach_corpus["2^3"]
     ids = np.arange(K.n)
     x = K.atoms_idx()[0]
     px = K.perp(x)
-    bad = _flipped(K, "_up", x, K.top)
+    bad = _flipped(K, K.bottom, _bit(K, K.atoms_idx()[1]))
     message = "upper-bound set has no least element"
     with pytest.raises(AssertionError, match=message):
         bad.join_idx(x, px)
     with pytest.raises(AssertionError, match=message):
         bad.join_batch(ids[:, None], ids)
-    bad = _flipped(K, "_down", x, K.bottom)
     message = "lower-bound set has no greatest element"
     with pytest.raises(AssertionError, match=message):
         bad.meet_idx(x, px)
     with pytest.raises(AssertionError, match=message):
         bad.meet_batch(ids[:, None], ids)
+
+
+def test_a_base_with_more_than_64_covers():
+    # M_33 has 66 covers, so each signature takes two words
+    L = diamond(33)
+    K = kalmbach(L)
+    assert K.n == 68 and K.signatures.shape == (68, 2)
+    for i, x in enumerate(K.seqs):
+        for j, y in enumerate(K.seqs):
+            assert K.leq_idx(i, j) == kleq_terms(L.leq, x, y), (i, j)
+    OL = K.as_ortholattice()
+    assert is_orthomodular(OL) == (K.orthomodular, K.orthomodular_witness)
+    assert K.orthomodular is True and katoms_check(K)
+    ids = np.arange(K.n)
+    assert (K.join_batch(ids[:, None], ids) == OL.lattice.join).all()
+    assert (K.meet_batch(ids[:, None], ids) == OL.lattice.meet).all()
 
 
 def _scalar_kcommute(K):
@@ -582,10 +710,19 @@ def _scalar_kcommute(K):
 
 
 def test_kcommute_check_can_fail(kalmbach_corpus):
+    # union_is_chain reads the order of the base: made to see 001 <= 010,
+    # it calls the noncommuting atoms (000,001) and (000,010) a chain
     K = kalmbach_corpus["2^3"]
     assert kcommute_check(K) is _scalar_kcommute(K) is True
+    L = K.base
+    leq = L.leq.copy()
+    leq[L.index("001"), L.index("010")] = True
     bad = copy.copy(K)
-    bad.perp_idx = K.perp_idx.copy()
-    a, b = K.atoms_idx()[:2]
-    bad.perp_idx[[a, b]] = bad.perp_idx[[b, a]]
+    bad.base = types.SimpleNamespace(leq=leq, bottom=L.bottom, top=L.top)
     assert kcommute_check(bad) is _scalar_kcommute(bad) is False
+    # a swapped perp breaks the joins, which check that they lie above both
+    # arguments
+    a, b = K.atoms_idx()[:2]
+    with pytest.raises(AssertionError,
+                       match="upper-bound set has no least element"):
+        kcommute_check(_swapped(K, a, b))

@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 
@@ -14,11 +12,9 @@ from omlkit.rn import (
     covering_report,
     noncommuting_atoms,
     rn_lattice,
+    rn_report,
     row_shift_embedding_check,
 )
-
-# the package re-exports the function kalmbach under the module's name
-KALMBACH_MODULE = importlib.import_module("omlkit.kalmbach")
 
 
 def test_base_lattice_sizes():
@@ -141,27 +137,28 @@ def test_classification_needs_rows3():
 
 def _two_covering_candidates(K):
     """The distinct (x, j) with j = a v x for an atom a and |[x, j]| > 3."""
-    xs = np.arange(K.n)
+    ids = np.arange(K.n)
     out = set()
     for a in K.atoms_idx():
-        js = K.join_batch(a, xs)
-        k, _ = K.interval_members(xs, js)
-        big = np.bincount(k, minlength=K.n) > 3
-        out.update(zip(xs[big].tolist(), js[big].tolist()))
+        for xs in np.array_split(ids, -(-K.n // 512)):
+            js = K.join_batch(a, xs)
+            size = (K.leq_batch(xs[:, None], ids)
+                    & K.leq_batch(ids, js[:, None])).sum(axis=1)
+            out.update(zip(xs[size > 3].tolist(), js[size > 3].tolist()))
     return sorted(out)
 
 
 def _scalar_tall(K, x, j):
     """Whether some s < t lie strictly between x and j, pair by pair."""
-    _, members = K.interval_members([x], [j])
+    ids = np.arange(K.n)
+    members = ids[K.leq_batch(x, ids) & K.leq_batch(ids, j)]
     inner = [int(s) for s in members if s not in (x, j)]
     return any(s != t and K.leq_idx(s, t) for s in inner for t in inner)
 
 
 def test_batched_height_test_matches_a_scalar_4_chain_search(
-        kalmbach_corpus, rn3, monkeypatch):
-    # K(rn 3) has thousands of candidates, so several kernel blocks; its
-    # verdicts are all False, so the corpus reruns with one pair per block
+        kalmbach_corpus, rn3):
+    # K(rn 3) has thousands of candidates; its verdicts are all False
     seen = []
     for nm, K in [*kalmbach_corpus.items(), ("rn3", rn3[1])]:
         pairs = _two_covering_candidates(K)
@@ -170,9 +167,19 @@ def test_batched_height_test_matches_a_scalar_4_chain_search(
         xs, js = (np.array(c) for c in zip(*pairs))
         want = [_scalar_tall(K, x, j) for x, j in pairs]
         assert (K.interval_heights(xs, js) > 2).tolist() == want, nm
-        if nm != "rn3":
-            with monkeypatch.context() as m:
-                m.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
-                assert (K.interval_heights(xs, js) > 2).tolist() == want, nm
         seen += want
     assert any(seen) and not all(seen)
+
+
+def test_rn_report_rows5():
+    # K(rn 5) has 199,680 elements: the order is checked on a seeded sample,
+    # orthomodularity and both covering laws exhaustively
+    report = rn_report(5)
+    assert report["k_size"] == 199_680
+    assert report["is_orthomodular"] is True
+    assert report["orthomodular_witness"] is None
+    witness = ("(a01,a10)", "(a02,a03)")  # the same as at rows 3
+    for key in ("covering1", "covering1_truncated"):
+        assert (report[key], report[key + "_witness"]) == (False, witness)
+    for key in ("covering2", "covering2_truncated"):
+        assert (report[key], report[key + "_witness"]) == (True, None)
