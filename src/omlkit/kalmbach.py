@@ -10,8 +10,12 @@ consecutive covers sharing an element, and the intervals of y are pairwise
 disjoint, so if every cover lies in some interval of y, they all lie in one.
 So distinct elements have distinct signatures, a meet is the element whose
 signature is A_x & A_y, and a join is (x' ^ y')'.  Signatures are built from
-the definition (see ``kalmbach``) and checked against the scalar
-``kleq_terms`` (exhaustively for small K, on a seeded sample for large K).
+the definition (see ``kalmbach``) and their inclusion is checked against the
+definition read as a second bitset inclusion, from L and the sequences alone:
+x <= y iff the intervals of x all lie among the intervals inside some
+interval of y (``_kleq_tables``).  The check is exhaustive for small K and a
+seeded sample for large K; ``KalmbachOML.order_check`` records which, with
+the number of pairs checked and how many of them were comparable.
 
 In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach, *Orthomodular
 Lattices*, 1983), so ``interval_heights`` reads interval heights from one
@@ -20,8 +24,10 @@ per-element table of the heights of [0, z].
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,28 +115,17 @@ def _enumerate_even_chains(L):
 def _interval_terms(L, seqs):
     """Padded (n, p) arrays of the interval ends (x_2i, x_2i+1) of each seq.
 
-    The padding (top, bottom) lies inside every interval and contains none.
+    The padding (top, bottom) lies inside every interval and contains only
+    itself.
     """
-    pad = (L.top, L.bottom) * max(1, max(map(len, seqs)) // 2)
-    terms = np.array([s + pad[len(s) :] for s in seqs], dtype=np.int64)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    p = max(1, int(lengths.max()) // 2)
+    pad = np.array([L.top, L.bottom], dtype=np.int64)
+    terms = np.tile(pad, (len(seqs), p))
+    flat = itertools.chain.from_iterable(seqs)
+    terms[np.arange(2 * p) < lengths[:, None]] = np.fromiter(
+        flat, dtype=np.int64, count=int(lengths.sum()))
     return terms[:, 0::2], terms[:, 1::2]
-
-
-def _kleq_tables(L, seqs):
-    """(ids, contains) with kleq_terms(L.leq, seqs[x], seqs[y]) equal to
-    ``contains[ids[y][:, None], ids[x]].any(axis=0).all()``, built from the
-    order of L alone.
-
-    ids[x, t] numbers the interval (x_2t, x_2t+1) among the distinct padded
-    intervals of ``_interval_terms``, and contains[c, d] says that interval
-    d lies inside interval c.
-    """
-    shape = (L.n, L.n)
-    ends, ids = np.unique(np.ravel_multi_index(_interval_terms(L, seqs), shape),
-                          return_inverse=True)
-    a, b = np.unravel_index(ends, shape)
-    contains = L.leq[a[:, None], a] & L.leq[b, b[:, None]]
-    return ids.reshape(len(seqs), -1), contains
 
 
 def _blocks(xs, ys, row_bytes):
@@ -210,6 +205,46 @@ def _signatures(L, seqs):
     return _pack(inside)
 
 
+def _kleq_tables(L, seqs):
+    """(own, inside) with kleq_terms(L.leq, seqs[x], seqs[y]) equal to
+    ``~(own[x] & ~inside[y]).any()``, built from the order of L alone.
+
+    Both are (n, w) little-endian uint64 bitsets over the intervals of L: the
+    pairs a < b and the padding (top, bottom) of ``_interval_terms``, which
+    lies inside every interval and contains only itself.  An L.n x L.n table
+    numbers them.  own[x] is the set of the padded intervals of x, and
+    inside[y] the set of intervals that lie inside some interval of y: the
+    union, over the intervals c of y, of held[c] = {d : d inside c}.  Both
+    are filled one interval column at a time.
+    """
+    a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
+    a, b = np.append(a, L.top), np.append(b, L.bottom)
+    number = np.zeros((L.n, L.n), dtype=np.int64)
+    number[a, b] = np.arange(len(a))
+    held = _pack(L.leq[a[:, None], a] & L.leq[b, b[:, None]])
+    lo, hi = _interval_terms(L, seqs)
+    rows = np.arange(len(seqs))
+    own = np.zeros((len(seqs), held.shape[1]), dtype=held.dtype)
+    inside = np.zeros_like(own)
+    for t in range(lo.shape[1]):
+        d = number[lo[:, t], hi[:, t]]
+        own[rows, d >> 6] |= np.uint64(1) << (d & 63).astype(np.uint64)
+        inside |= held[d]
+    return own, inside
+
+
+class OrderCheck(NamedTuple):
+    """How ``check_order_against_definition`` established K's order: over
+    all pairs or a seeded sample, ``pairs`` (x, y) checked out of ``total``,
+    ``comparable`` of them with x <= y."""
+
+    method: str           # "exhaustive" or "sampled"
+    pairs: int
+    total: int            # n * n
+    seed: int | None      # None when exhaustive
+    comparable: int
+
+
 class KalmbachOML:
     """K(L) with its order, join, meet and orthocomplement read from atom
     signatures.
@@ -232,6 +267,7 @@ class KalmbachOML:
         self.max_chains = max_chains  # base maximal chains as index tuples
         self.bottom = self._index["()"]
         self.top = self._index[seq_name(base, (base.bottom, base.top))]
+        self.order_check = None       # an OrderCheck, set by kalmbach
         self.orthomodular = None      # set by check_orthomodular
         self.orthomodular_witness = None
 
@@ -378,29 +414,35 @@ class KalmbachOML:
 
     def check_order_against_definition(self, sample=None, seed=0):
         """Check that the signatures are distinct and that their inclusion
-        is the definitional kleq.
+        is the definitional kleq; returns an ``OrderCheck`` saying how.
 
         Distinctness is checked on all n signatures.  The order is compared
         exhaustively when ``sample`` is None, else on a seeded random sample
         of index pairs, in vectorised blocks.  Raises AssertionError at the
         first equal pair or disagreeing pair.  The definition is read from
-        ``_kleq_tables``, which never looks at the signatures.
+        ``_kleq_tables``, which never looks at the signatures, as one bitset
+        inclusion per pair, the same form as ``leq_batch``.
         """
         same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
         if len(same):
             x, y = self._ids[same[0]], self._ids[same[0] + 1]
             raise AssertionError(
                 f"equal signatures at ({self.names[x]}, {self.names[y]})")
-        ids, contains = _kleq_tables(self.base, self.seqs)
+        own, inside = _kleq_tables(self.base, self.seqs)
+        pairs = comparable = 0
         for i, j in _pair_blocks(self.n, sample, seed):
-            want = contains[ids[j][:, :, None], ids[i][:, None, :]]
-            want = want.any(axis=1).all(axis=1)
+            want = ~(own[i] & ~inside[j]).any(axis=-1)
             bad = np.flatnonzero(self.leq_batch(i, j) != want)
             if len(bad):
                 x, y = int(i[bad[0]]), int(j[bad[0]])
                 raise AssertionError(
                     f"order mismatch at ({self.names[x]}, {self.names[y]})"
                 )
+            pairs += len(want)
+            comparable += int(np.count_nonzero(want))
+        return OrderCheck("exhaustive" if sample is None else "sampled",
+                          pairs, self.n * self.n,
+                          None if sample is None else seed, comparable)
 
     def check_orthomodular(self):
         """Exhaustive orthomodular-law check, one pass over (element, atom)
@@ -475,10 +517,11 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     Raises TooLarge, before enumerating anything, when the even-length-chain
     count exceeds ``cap``.  The signatures are built from the definition:
     bit k of x says that the k-th cover of L lies inside an interval of x.
-    They are checked distinct, and their inclusion is checked against
-    ``kleq_terms`` (exhaustively up to VERIFY_CAP elements, on VERIFY_SAMPLE
-    seeded pairs beyond).  The orthomodular law is then checked exhaustively
-    by ``check_orthomodular``, one pass over (element, atom) pairs.
+    They are checked distinct, and their inclusion is checked against the
+    definition (exhaustively up to VERIFY_CAP elements, on VERIFY_SAMPLE
+    seeded pairs beyond); ``K.order_check`` keeps the ``OrderCheck`` record
+    of how.  The orthomodular law is then checked exhaustively by
+    ``check_orthomodular``, one pass over (element, atom) pairs.
     """
     if L.bottom == L.top:
         raise NoBounds("K(L) needs a bottom strictly below the top, and L "
@@ -495,7 +538,8 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
                         dtype=np.int64)
     max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
     K = KalmbachOML(L, tuple(seqs), _signatures(L, seqs), perp_idx, max_chains)
-    K.check_order_against_definition(None if n <= VERIFY_CAP else VERIFY_SAMPLE)
+    K.order_check = K.check_order_against_definition(
+        None if n <= VERIFY_CAP else VERIFY_SAMPLE)
     K.check_orthomodular()
     return K
 

@@ -16,6 +16,8 @@ from omlkit.kalmbach import (
     VERIFY_CAP,
     VERIFY_SAMPLE,
     KalmbachOML,
+    OrderCheck,
+    _enumerate_even_chains,
     _kleq_tables,
     _pair_blocks,
     kalmbach,
@@ -404,10 +406,9 @@ def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
 def test_sampled_order_check_on_a_large_k(rn3):
     K = rn3[1]
     assert K.n > VERIFY_CAP  # kalmbach() checked it on a sample
-    ids, contains = _kleq_tables(K.base, K.seqs)
+    own, inside = _kleq_tables(K.base, K.seqs)
     i, j = next(_pair_blocks(K.n, VERIFY_SAMPLE, 0))
-    want = contains[ids[j][:, :, None], ids[i][:, None, :]]
-    want = want.any(axis=1).all(axis=1)
+    want = ~(own[i] & ~inside[j]).any(axis=-1)
     leq = K.base.leq
     assert want.tolist() == [kleq_terms(leq, K.seqs[x], K.seqs[y])
                              for x, y in zip(i.tolist(), j.tolist())]
@@ -427,6 +428,38 @@ def test_sampled_order_check_on_a_large_k(rn3):
     message = _order_message(K, (int(i[first]), int(j[first])))
     with pytest.raises(AssertionError, match=message):
         bad.check_order_against_definition(VERIFY_SAMPLE)
+
+
+def test_kleq_tables_match_the_definition(corpus):
+    # every pair of every corpus K, of K(rn 2), and of K(M_33), whose 67
+    # intervals a < b and padding take two words; no signature is built
+    bases = {**corpus, "rn2": rn_lattice(2), "M33": diamond(33)}
+    for nm, L in bases.items():
+        seqs = _enumerate_even_chains(L)
+        own, inside = _kleq_tables(L, seqs)
+        assert own.shape == inside.shape
+        got = ~(own[:, None] & ~inside[None]).any(axis=-1)
+        want = [[kleq_terms(L.leq, x, y) for y in seqs] for x in seqs]
+        assert got.tolist() == want, nm
+    assert own.shape == (68, 2)
+
+
+def test_order_check_records_how_it_was_established(kalmbach_corpus, rn3,
+                                                    rn4):
+    for nm, K in kalmbach_corpus.items():
+        ids = np.arange(K.n)
+        comparable = int(K.leq_batch(ids[:, None], ids).sum())
+        assert K.order_check == OrderCheck("exhaustive", K.n * K.n, K.n * K.n,
+                                           None, comparable), nm
+    # a uniform sample of a large K mostly confirms incomparability
+    K3, K4 = rn3[1], rn4[1]
+    assert K3.order_check == OrderCheck("sampled", VERIFY_SAMPLE, 3584 ** 2,
+                                        0, 3277)
+    assert K4.order_check == OrderCheck("sampled", VERIFY_SAMPLE, 26752 ** 2,
+                                        0, 1096)
+    i, j = next(_pair_blocks(K3.n, 1000, 7))
+    assert K3.check_order_against_definition(1000, 7) == OrderCheck(
+        "sampled", 1000, 3584 ** 2, 7, int(K3.leq_batch(i, j).sum()))
 
 
 def _scalar_orthomodular(K):
