@@ -97,19 +97,22 @@ def _count_even_chains(L):
 def _enumerate_even_chains(L):
     """All even-length chains of L as rank-sorted index tuples, DFS order."""
     ext = L.linear_extension()
-    leq = L.leq
+    above = {u: [v for v in ext if v != u and L.leq[u, v]] for u in ext}
     out = []
-
-    def walk(seq, start):
-        if len(seq) % 2 == 0:
-            out.append(seq)
-        for k in range(start, len(ext)):
-            v = ext[k]
-            if not seq or (seq[-1] != v and leq[seq[-1], v]):
-                walk(seq + (v,), k + 1)
-
-    walk((), 0)
+    _walk_chains((), ext, above, out)
     return out
+
+
+def _walk_chains(seq, ups, above, out):
+    """Append to out, in DFS order, seq and every chain that extends it
+    upward, if of even length; ``ups`` are the elements above its last term,
+    in rank order.  Module level, because a nested function that calls
+    itself is a reference cycle: it would keep ``out`` alive until the
+    garbage collector's next full pass."""
+    if len(seq) % 2 == 0:
+        out.append(seq)
+    for v in ups:
+        _walk_chains(seq + (v,), above[v], above, out)
 
 
 def _interval_terms(L, seqs):
