@@ -1,4 +1,5 @@
 import copy
+import gc
 import importlib
 import itertools
 import random
@@ -50,6 +51,18 @@ def test_chain_law_sizes():
     for k in range(2, 7):
         K = kalmbach(chain(k))
         assert K.n == 2 ** (k - 1)
+
+
+def test_chain_enumeration_leaves_no_garbage_cycle():
+    # a cycle would keep the chain list alive until a full collection, so
+    # repeated builds would grow the resident set
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_enumerate_even_chains(chain(6))) == 32
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_k_of_c4_is_cube():
