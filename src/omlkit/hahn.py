@@ -283,12 +283,18 @@ class HahnSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, HahnSeries):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return HahnSeries.zero()
             return HahnSeries._canonical(
                 {g: c * other for g, c in self._coeffs.items()}
             )
+        if other is _ONE_SERIES:
+            return self
+        if self is _ONE_SERIES:
+            return other
         if len(self._coeffs) == 1:
             self, other = other, self
         if len(other._coeffs) == 1:
@@ -355,8 +361,18 @@ class HahnScalar:
         ``_cancel`` returns such a pair unchanged, so the result is the one
         the public constructor would build.
         """
+        return cls._trusted(num, _ONE_SERIES)
+
+    @classmethod
+    def _trusted(cls, num, den):
+        """Wrap the pair num / den as it is, skipping ``_cancel``.
+
+        The caller guarantees that den is a nonzero series.  The pair need
+        not be in lowest terms: equality is by cross-multiplication and
+        valuation subtracts, so no operation depends on it.
+        """
         out = cls.__new__(cls)
-        out.num, out.den = num, _ONE_SERIES
+        out.num, out.den = num, den
         return out
 
     @classmethod
@@ -385,12 +401,16 @@ class HahnScalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if _is_one(self.den):
+            return HahnScalar._over_one(-self.num)
         return HahnScalar(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return HahnScalar._over_one(self.num - other.num)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -598,6 +618,8 @@ def series_gcd(a, b):
 
     It is defined up to a unit of the Laurent ring (a nonzero rational times
     a monomial).  A monomial argument is itself a unit, so the gcd is 1.
+    When the argument with fewer terms divides the other, it is the gcd;
+    only otherwise does the polynomial gcd run.
     """
     if not a:
         return b
@@ -605,6 +627,9 @@ def series_gcd(a, b):
         return a
     if len(a._coeffs) == 1 or len(b._coeffs) == 1:
         return _ONE_SERIES
+    small, large = (a, b) if len(a._coeffs) <= len(b._coeffs) else (b, a)
+    if _exact_quotient(large, small) is not None:
+        return small
     return _on_ring([a, b], lambda pa, pb: pa.gcd(pb))
 
 

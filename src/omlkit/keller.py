@@ -29,6 +29,8 @@ from .hahn import (
 
 _ZERO = HahnScalar(0)
 _ONE = HahnScalar(1)
+# hahn's shared constant series 1: a product with it returns the other factor
+_ONE_SERIES = _ONE.den
 
 
 class KVector:
@@ -92,14 +94,30 @@ def _times_t(c, i):
 
 
 def form(f, g):
-    """<f, g> = sum of f(i) g(i) t_i, over the coordinates nonzero in both."""
+    """<f, g> = sum of f(i) g(i) t_i, over the coordinates nonzero in both.
+
+    The sum is kept as one numerator over one running denominator, with no
+    cancellation: a term over 1 adds straight into the numerator, and any
+    other term makes N / D + n / d into (N d + n D) / (D d).  Equality is by
+    cross-multiplication and valuation subtracts, so no caller needs the
+    result in lowest terms.
+    """
     if f.dim != g.dim:
         raise DimensionMismatch("form arguments have different dimensions")
-    acc = _ZERO
+    num = HahnSeries.zero()
+    den = _ONE_SERIES
     for i, (a, b) in enumerate(zip(f.coords, g.coords)):
         if a and b:
-            acc = acc + _times_t(a * b, i)
-    return acc
+            term = (a.num * b.num).shift(GammaExp.delta(i))
+            d = a.den * b.den
+            if d == _ONE_SERIES:
+                num = num + term * den
+            else:
+                num = num * d + term * den
+                den = den * d
+    if not num:
+        return _ZERO
+    return HahnScalar._trusted(num, den)
 
 
 def form_self(f):
@@ -225,38 +243,53 @@ def _reduce_vector(v):
     """
     if not v:
         return v
-    scale = HahnSeries.constant(1)
+    scale = _ONE_SERIES
     for c in v.coords:
         if c and c.den.term_count > 1:
             # multiply by den / gcd(scale, den), an exact lcm step
             q, _ = series_ratio(c.den, series_gcd(scale, c.den))
             scale = scale * q
-    nums = []
-    for c in v.coords:
-        if not c:
-            nums.append(HahnSeries.zero())
-            continue
-        q, r = series_ratio(c.num * scale, c.den)
-        if not r.is_constant():
-            raise AssertionError("denominator clearing was not exact")
-        nums.append(q * Fraction(1, r.leading_coefficient()))
+    # a stored denominator is 1 or has several terms (HahnScalar folds a
+    # monomial one into the numerator), and only the latter needs a division
+    nums = [
+        c.num * scale if c.den == _ONE_SERIES else _divide(
+            c.num * scale, c.den, "denominator clearing was not exact")
+        for c in v.coords
+    ]
     content = HahnSeries.zero()
     for nm in nums:
         if nm:
             content = series_gcd(content, nm)
-    coords = []
-    for nm in nums:
-        if not nm:
-            coords.append(_ZERO)
-            continue
-        q, r = series_ratio(nm, content)
-        if not r.is_constant():
-            raise AssertionError("content division was not exact")
-        coords.append(HahnScalar(q * Fraction(1, r.leading_coefficient())))
-    lead = next(c for c in coords if c).num.leading_coefficient()
+    if content.term_count > 1:
+        nums = [
+            _divide(nm, content, "content division was not exact")
+            for nm in nums
+        ]
+    else:
+        # a monomial content only shifts: the rescale below, which makes the
+        # leading coefficient one, absorbs its coefficient
+        low = content.valuation()
+        if low:
+            nums = [nm.shift(-low) for nm in nums]
+    lead = next(nm for nm in nums if nm).leading_coefficient()
     if lead != 1:
-        coords = [HahnScalar(Fraction(1, 1) / lead) * c for c in coords]
-    return KVector(tuple(coords))
+        nums = [nm * (1 / lead) for nm in nums]
+    return KVector(tuple(
+        HahnScalar._over_one(nm) if nm else _ZERO for nm in nums
+    ))
+
+
+def _divide(a, b, message):
+    """a / b, for a series b that divides a up to a constant.
+
+    Raises AssertionError(message) when ``series_ratio`` leaves a
+    denominator that is not constant.
+    """
+    q, r = series_ratio(a, b)
+    if not r.is_constant():
+        raise AssertionError(message)
+    lead = r.leading_coefficient()
+    return q if lead == 1 else q * (1 / lead)
 
 
 def _det(matrix):
@@ -291,7 +324,8 @@ def orthogonalize(vectors):
     if not vectors:
         return []
     n = vectors[0].dim
-    if len(_rref(vectors)) != len(vectors):
+    span = _rref(vectors)
+    if len(span) != len(vectors):
         raise DependentInput("input vectors are linearly dependent")
     # the involution is trivial, so the form is symmetric: each unordered
     # pair is evaluated once and mirrored
@@ -317,7 +351,7 @@ def orthogonalize(vectors):
         for b in range(a + 1, len(out)):
             if form(out[a], out[b]):
                 raise AssertionError("orthogonalized family is not orthogonal")
-    if _rref(out) != _rref(vectors):
+    if _rref(out) != span:
         raise AssertionError("orthogonalization changed the span")
     return out
 

@@ -202,17 +202,22 @@ def maximal_chains(L):
     succ = [sorted(np.where(L.cover_matrix[u])[0], key=lambda v: L.names[v])
             for u in range(L.n)]
     out = []
-
-    def walk(u, chain):
-        if u == L.top:
-            out.append(tuple(L.names[v] for v in chain))
-            return
-        for v in succ[u]:
-            walk(v, chain + [v])
-
-    walk(L.bottom, [L.bottom])
+    _walk_maximal_chains(L, succ, [L.bottom], out)
     out.sort()
     return out
+
+
+def _walk_maximal_chains(L, succ, chain, out):
+    """Append to out, as name tuples in DFS order, every maximal chain that
+    extends chain upward along the covers ``succ``.  Module level, because a
+    nested function that calls itself is a reference cycle: it would keep
+    ``out`` alive until the garbage collector's next full pass."""
+    u = chain[-1]
+    if u == L.top:
+        out.append(tuple(L.names[v] for v in chain))
+        return
+    for v in succ[u]:
+        _walk_maximal_chains(L, succ, chain + [v], out)
 
 
 def height(L):

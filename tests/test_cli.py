@@ -1,8 +1,16 @@
+import gc
+
 import pytest
 import yaml
 
 from omlkit.cli import keller_report, main, run_checks
-from omlkit.corpus import benzene_ortholattice, chain, mo, pentagon
+from omlkit.corpus import (
+    benzene_ortholattice,
+    chain,
+    lattice_corpus,
+    mo,
+    pentagon,
+)
 from omlkit.kalmbach import DEFAULT_K_CAP, kalmbach
 from omlkit.lattice import covers, find_isomorphism
 from omlkit.latfile import (
@@ -409,3 +417,25 @@ def test_rn_report_golden_text(capsys):
     # pins the whole ladder report: every verdict, count and least witness
     assert main(["rn", "--rows", "3", "--report"]) == 0
     assert capsys.readouterr().out == RN_REPORT_3
+
+
+@pytest.mark.parametrize("argv", [
+    ["keller", "--dim", "2", "--trials", "3"],
+    ["rn", "--rows", "3", "--report"],
+    ["check", "--in", "{base}", "--kalmbach"],
+])
+def test_a_repeated_command_leaves_no_garbage_cycle(argv, write, capsys):
+    # a cycle would keep its objects alive until a full collection, so a
+    # process that runs many commands would grow its resident set; the
+    # first call may build what a process keeps, such as the parser
+    base = write("m2xc2.yaml", _doc_text(lattice_corpus()["M2xC2"]))
+    argv = [a.format(base=base) for a in argv]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -371,9 +371,63 @@ def test_series_gcd_with_a_monomial_is_one():
         assert ring_gcd.is_constant() and ring_gcd
 
 
+def _ring_gcd(a, b):
+    return _on_ring([a, b], lambda pa, pb: pa.gcd(pb))
+
+
+def _same_up_to_a_unit(a, b):
+    """Whether a / b is a nonzero rational times a monomial."""
+    q = _exact_quotient(a, b)
+    return q is not None and q.term_count == 1
+
+
+def test_series_gcd_of_a_multiple_agrees_with_the_ring_gcd():
+    # a = b * c: the argument with fewer terms is returned when it divides
+    # the other, and that must be the polynomial gcd up to a unit
+    rng = random.Random(19)
+    returned = 0
+    for _ in range(200):
+        b, c = _random_multiterm_series(rng), _random_multiterm_series(rng)
+        a = _product(b, c)
+        for x, y in ((a, b), (b, a)):
+            g = series_gcd(x, y)
+            assert _same_up_to_a_unit(g, _ring_gcd(x, y)), (x, y)
+            returned += g is b
+    assert returned > 300
+
+
+def test_series_gcd_without_a_dividing_argument_is_the_ring_gcd():
+    # a = d * x and b = d * y share the factor d, yet neither divides the
+    # other, so only the polynomial gcd can find d
+    rng = random.Random(20)
+    seen = 0
+    for _ in range(100):
+        d, x, y = (_random_multiterm_series(rng) for _ in range(3))
+        a, b = _product(d, x), _product(d, y)
+        if any(_exact_quotient(x, y) is not None for x, y in ((a, b), (b, a))):
+            continue
+        seen += 1
+        g = series_gcd(a, b)
+        assert g.term_count > 1
+        assert _same_up_to_a_unit(g, _ring_gcd(a, b)), (a, b)
+        assert _exact_quotient(a, g) is not None
+        assert _exact_quotient(b, g) is not None
+    assert seen > 80
+
+
 def _general_sum(a, b):
     num = _product(a.num, b.den) + _product(b.num, a.den)
     return _cancel(num, _product(a.den, b.den))
+
+
+def _general_difference(a, b):
+    minus_one = HahnSeries.constant(-1)
+    num = _product(a.num, b.den) + _product(_product(b.num, a.den), minus_one)
+    return _cancel(num, _product(a.den, b.den))
+
+
+def _general_negation(a):
+    return _cancel(_product(a.num, HahnSeries.constant(-1)), a.den)
 
 
 def _general_product(a, b):
@@ -381,8 +435,8 @@ def _general_product(a, b):
 
 
 def test_scalar_arithmetic_matches_the_general_formula():
-    # + and * skip products and the cancellation for constant-1 and zero
-    # operands; the pair they build must be the general formula's
+    # +, -, negation and * skip products and the cancellation for constant-1
+    # and zero operands; the pair they build must be the general formula's
     rng = random.Random(18)
     from omlkit.keller import random_scalar, random_series
 
@@ -396,8 +450,12 @@ def test_scalar_arithmetic_matches_the_general_formula():
             kinds["zero" if not x else "one" if x.den.is_constant()
                   else "fraction"] += 1
         for a in operands:
+            got, (num, den) = -a, _general_negation(a)
+            assert (got.num._coeffs, got.den._coeffs) == (
+                num._coeffs, den._coeffs)
             for b in operands:
                 for got, (num, den) in ((a + b, _general_sum(a, b)),
+                                        (a - b, _general_difference(a, b)),
                                         (a * b, _general_product(a, b))):
                     assert (got.num._coeffs, got.den._coeffs) == (
                         num._coeffs, den._coeffs)

@@ -85,6 +85,29 @@ def test_form_symmetric_and_matches_reference_sum():
             assert form_self(f) == _reference_form(f, f)
 
 
+def test_form_over_one_denominator_matches_the_reference_sum():
+    # form never cancels its running denominator: over the two denominators
+    # 1 + t_0 and 1 + t_1 the lowest terms of <f, f> have at most 9 terms in
+    # the denominator, while form's product of squares grows far past that
+    rng = random.Random(13)
+    from omlkit.keller import random_scalar, random_series
+
+    one = HahnSeries.constant(1)
+    dens = []
+    for _ in range(20):
+        f, g = (KVector(tuple(
+            HahnScalar(random_series(rng, 2, 3), one + HahnSeries.t(i % 2))
+            if rng.random() < 0.8 else random_scalar(rng)
+            for i in range(6)
+        )) for _ in range(2))
+        ref = _reference_form(f, g)
+        assert form(f, g) == ref
+        assert form(f, g).valuation() == ref.valuation()
+        assert form_self(f) == _reference_form(f, f)
+        dens.append(form_self(f).den.term_count)
+    assert max(dens) > 9
+
+
 # -- anisotropy and types ----------------------------------------------------
 
 
