@@ -404,7 +404,7 @@ def test_series_gcd_without_a_dividing_argument_is_the_ring_gcd():
     for _ in range(100):
         d, x, y = (_random_multiterm_series(rng) for _ in range(3))
         a, b = _product(d, x), _product(d, y)
-        if any(_exact_quotient(x, y) is not None for x, y in ((a, b), (b, a))):
+        if any(_exact_quotient(p, q) is not None for p, q in ((a, b), (b, a))):
             continue
         seen += 1
         g = series_gcd(a, b)
