@@ -11,11 +11,11 @@ disjoint, so if every cover lies in some interval of y, they all lie in one.
 So distinct elements have distinct signatures, a meet is the element whose
 signature is A_x & A_y, and a join is (x' ^ y')'.  Signatures are built from
 the definition (see ``kalmbach``) and their inclusion is checked against the
-definition read as a second bitset inclusion, from L and the sequences alone:
-x <= y iff the intervals of x all lie among the intervals inside some
-interval of y (``_kleq_tables``).  The check is exhaustive for small K and a
-seeded sample for large K; ``KalmbachOML.order_check`` records which, with
-the number of pairs checked and how many of them were comparable.
+definition read from L and the sequences alone: x <= y iff the intervals of
+x all lie among the intervals inside some interval of y (``_kleq_tables``).
+The check is exact at every size: one test per (interval of L, element)
+and one union per element, not one test per pair.
+``KalmbachOML.order_check`` records the tests and how many were comparable.
 
 In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach, *Orthomodular
 Lattices*, 1983), so ``interval_heights`` reads interval heights from one
@@ -25,7 +25,6 @@ per-element table of the heights of [0, z].
 from __future__ import annotations
 
 import itertools
-import random
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,13 +35,10 @@ from .lattice import BoundedLattice, maximal_chains
 from .ortho import blocks, ortholattice
 
 DEFAULT_K_CAP = 200_000
-VERIFY_CAP = 1500
-VERIFY_SAMPLE = 200_000
 # as_ortholattice builds dense n x n tables only up to this many elements.
 MAX_DENSE_SIZE = 2048
-_CHECK_CHUNK = 1 << 14  # pairs per vectorised order-check step
-# union_is_chain compares at most this many bytes of terms per step, so the
-# step's temporaries stay in a core's cache.
+# union_is_chain and the order check handle at most this many bytes per
+# step, so the step's temporaries stay in a core's cache.
 _BLOCK_BYTES = 1 << 19
 _UPPER = "upper-bound set has no least element"
 _LOWER = "lower-bound set has no greatest element"
@@ -147,32 +143,6 @@ def _blocks(xs, ys, row_bytes):
                      for s in range(0, b.size, step)]
 
 
-def _pair_blocks(n, sample, seed):
-    """(i, j) index arrays of the order-check pairs, a block at a time.
-
-    All n * n pairs in row-major order when ``sample`` is None.  Otherwise
-    each block of c pairs takes 2c values from ``rng = random.Random(seed)``:
-    ``rng.randbytes(4 * m)``, with m the values the block still lacks, is read
-    as m little-endian 32-bit words, each masked to ``(n - 1).bit_length()``
-    bits, and the words ``>= n`` are rejected, until the block has 2c values.
-    Consecutive values form the pairs (i, j).
-    """
-    if sample is None:
-        for s in range(0, n * n, _CHECK_CHUNK):
-            yield np.divmod(np.arange(s, min(s + _CHECK_CHUNK, n * n)), n)
-        return
-    rng = random.Random(seed)
-    mask = (1 << (n - 1).bit_length()) - 1
-    for s in range(0, sample, _CHECK_CHUNK):
-        want = 2 * min(_CHECK_CHUNK, sample - s)
-        draws = np.empty(0, dtype=np.int64)
-        while len(draws) < want:
-            words = np.frombuffer(rng.randbytes(4 * (want - len(draws))),
-                                  dtype="<u4") & mask
-            draws = np.concatenate([draws, words[words < n]])
-        yield draws[0::2], draws[1::2]
-
-
 def _pack(bits):
     """(m, w) little-endian uint64 words holding the columns of a bool (m, c)
     matrix, bit k of a row in word k // 64; w = ceil(c / 64), at least 1."""
@@ -197,54 +167,57 @@ def _keys(sig):
     return sig.view(np.dtype((np.void, sig.itemsize * sig.shape[-1])))[..., 0]
 
 
-def _signatures(L, seqs):
-    """The signatures of the seqs, one bit per cover (c, d) of L: bit k of
-    row x says that [c, d] lies inside some interval [x_2i, x_2i+1]."""
-    lo, hi = _interval_terms(L, seqs)
+def _signatures(L, lo, hi):
+    """The signatures of the elements with the interval ends lo, hi of
+    ``_interval_terms``, one bit per cover (c, d) of L: bit k of row x says
+    that [c, d] lies inside some interval [x_2i, x_2i+1]."""
     covers = np.argwhere(L.cover_matrix)
-    inside = np.zeros((len(seqs), len(covers)), dtype=bool)
+    inside = np.zeros((len(lo), len(covers)), dtype=bool)
     for k, (c, d) in enumerate(covers):
         inside[:, k] = (L.leq[lo, c] & L.leq[d, hi]).any(axis=1)
     return _pack(inside)
 
 
-def _kleq_tables(L, seqs):
-    """(own, inside) with kleq_terms(L.leq, seqs[x], seqs[y]) equal to
-    ``~(own[x] & ~inside[y]).any()``, built from the order of L alone.
+def _kleq_tables(L, lo, hi):
+    """(ivals, inside) with kleq_terms(L.leq, seqs[x], seqs[y]) true iff
+    every number in ivals[x] is a bit of inside[y], built from the order of L
+    and the interval ends lo, hi of ``_interval_terms`` alone.
 
-    Both are (n, w) little-endian uint64 bitsets over the intervals of L: the
-    pairs a < b and the padding (top, bottom) of ``_interval_terms``, which
-    lies inside every interval and contains only itself.  An L.n x L.n table
-    numbers them.  own[x] is the set of the padded intervals of x, and
-    inside[y] the set of intervals that lie inside some interval of y: the
-    union, over the intervals c of y, of held[c] = {d : d inside c}.  Both
-    are filled one interval column at a time.
+    The intervals of L are numbered: the pairs a < b in row-major order, then
+    the padding (top, bottom), which lies inside every interval and contains
+    only itself.  ivals is the (n, p) array of the numbers of the padded
+    intervals of each element.  inside is an (n, w) little-endian uint64
+    bitset over the numbers: inside[y] is the set of intervals that lie
+    inside some interval of y, the union, over the intervals c of y, of
+    held[c] = {d : d inside c}, filled one interval column at a time.
     """
     a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
     a, b = np.append(a, L.top), np.append(b, L.bottom)
     number = np.zeros((L.n, L.n), dtype=np.int64)
     number[a, b] = np.arange(len(a))
     held = _pack(L.leq[a[:, None], a] & L.leq[b, b[:, None]])
-    lo, hi = _interval_terms(L, seqs)
-    rows = np.arange(len(seqs))
-    own = np.zeros((len(seqs), held.shape[1]), dtype=held.dtype)
-    inside = np.zeros_like(own)
-    for t in range(lo.shape[1]):
-        d = number[lo[:, t], hi[:, t]]
-        own[rows, d >> 6] |= np.uint64(1) << (d & 63).astype(np.uint64)
+    ivals = number[lo, hi]
+    inside = np.zeros((len(lo), held.shape[1]), dtype=held.dtype)
+    for d in ivals.T:
         inside |= held[d]
-    return own, inside
+    return ivals, inside
+
+
+def _bit_rows(cols, bits):
+    """(m, n) bools: row k holds bit bits[k] of each row of the (n, w)
+    bitset whose transpose is cols."""
+    words = cols[bits >> 6] >> (bits & 63).astype(np.uint64)[:, None]
+    return (words & np.uint64(1)).astype(bool)
 
 
 class OrderCheck(NamedTuple):
-    """How ``check_order_against_definition`` established K's order: over
-    all pairs or a seeded sample, ``pairs`` (x, y) checked out of ``total``,
-    ``comparable`` of them with x <= y."""
+    """How ``check_order_against_definition`` established K's order: by all
+    ``intervals`` * ``elements`` tests (i, y), ``comparable`` of them with
+    x_i <= y, and the union identity at every element."""
 
-    method: str           # "exhaustive" or "sampled"
-    pairs: int
-    total: int            # n * n
-    seed: int | None      # None when exhaustive
+    method: str           # "exhaustive"
+    intervals: int        # the intervals a < b of L, plus the padding
+    elements: int         # n
     comparable: int
 
 
@@ -415,37 +388,60 @@ class KalmbachOML:
 
     # -- verification ---------------------------------------------------
 
-    def check_order_against_definition(self, sample=None, seed=0):
+    def check_order_against_definition(self, lo, hi):
         """Check that the signatures are distinct and that their inclusion
-        is the definitional kleq; returns an ``OrderCheck`` saying how.
+        is the definitional kleq on all pairs; returns an ``OrderCheck``.
 
-        Distinctness is checked on all n signatures.  The order is compared
-        exhaustively when ``sample`` is None, else on a seeded random sample
-        of index pairs, in vectorised blocks.  Raises AssertionError at the
-        first equal pair or disagreeing pair.  The definition is read from
-        ``_kleq_tables``, which never looks at the signatures, as one bitset
-        inclusion per pair, the same form as ``leq_batch``.
+        lo, hi are the ``_interval_terms`` of the sequences.  By
+        ``_kleq_tables``, which never looks at the signatures, x <= y iff
+        every interval i of x lies in inside[y].  Let x_i be the element
+        whose one interval is i: (a_i, b_i), or () for the padding.  Two
+        tests over the D padded intervals of L take D * n steps:
+        (a) A_(x_i) <= A_y iff i lies in inside[y], for every i and y;
+        (b) A_x is the union of the A_(x_i) over the intervals i of x.
+        Together they prove A_x <= A_y iff A_(x_i) <= A_y for every interval
+        i of x, iff every such i lies in inside[y], iff x <= y.  Raises
+        AssertionError at the first equal pair of signatures, else at the
+        first pair (x_i, y) failing (a), a block of intervals at a time,
+        else at the first x failing (b): at the first y where the orders
+        differ on (x, y), or at x alone if there is none.
         """
         same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
         if len(same):
             x, y = self._ids[same[0]], self._ids[same[0] + 1]
             raise AssertionError(
                 f"equal signatures at ({self.names[x]}, {self.names[y]})")
-        own, inside = _kleq_tables(self.base, self.seqs)
-        pairs = comparable = 0
-        for i, j in _pair_blocks(self.n, sample, seed):
-            want = ~(own[i] & ~inside[j]).any(axis=-1)
-            bad = np.flatnonzero(self.leq_batch(i, j) != want)
-            if len(bad):
-                x, y = int(i[bad[0]]), int(j[bad[0]])
-                raise AssertionError(
-                    f"order mismatch at ({self.names[x]}, {self.names[y]})"
-                )
-            pairs += len(want)
-            comparable += int(np.count_nonzero(want))
-        return OrderCheck("exhaustive" if sample is None else "sampled",
-                          pairs, self.n * self.n,
-                          None if sample is None else seed, comparable)
+        ivals, inside = _kleq_tables(self.base, lo, hi)
+        cols, sig, ids = inside.T.copy(), self.signatures, np.arange(self.n)
+        single = (ivals[:, 1:] == ivals[self.bottom, 0]).all(axis=1)
+        x_of = np.empty(ivals[self.bottom, 0] + 1, dtype=np.int64)
+        x_of[ivals[single, 0]] = ids[single]  # the padding is numbered last
+        step = max(1, _BLOCK_BYTES // sig.nbytes)
+        for s in range(0, len(x_of), step):
+            i = np.arange(s, min(s + step, len(x_of)))
+            got = ~(sig[x_of[i], None] & ~sig).any(axis=-1)
+            bad = got != _bit_rows(cols, i)
+            if bad.any():
+                k, y = np.argwhere(bad)[0]
+                x = x_of[s + k]
+                break
+        else:
+            union = np.zeros_like(sig)
+            for d in ivals.T:
+                union |= sig[x_of[d]]
+            wrong = np.flatnonzero((union != sig).any(axis=1))
+            if not len(wrong):
+                return OrderCheck("exhaustive", len(x_of), self.n,
+                                  int(np.bitwise_count(inside).sum()))
+            x = wrong[0]
+            want = _bit_rows(cols, ivals[x]).all(axis=0)
+            ys = np.flatnonzero(self.leq_batch(x, ids) != want)
+            if not len(ys):
+                raise AssertionError(f"the signature of {self.names[x]} is "
+                                     "not the union of its intervals'")
+            y = ys[0]
+        raise AssertionError(
+            f"order mismatch at ({self.names[x]}, {self.names[y]})")
 
     def check_orthomodular(self):
         """Exhaustive orthomodular-law check, one pass over (element, atom)
@@ -521,10 +517,11 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     count exceeds ``cap``.  The signatures are built from the definition:
     bit k of x says that the k-th cover of L lies inside an interval of x.
     They are checked distinct, and their inclusion is checked against the
-    definition (exhaustively up to VERIFY_CAP elements, on VERIFY_SAMPLE
-    seeded pairs beyond); ``K.order_check`` keeps the ``OrderCheck`` record
-    of how.  The orthomodular law is then checked exhaustively by
-    ``check_orthomodular``, one pass over (element, atom) pairs.
+    definition on all pairs, by one test per (interval of L, element) and
+    the union identity of ``check_order_against_definition``, over interval
+    ends built once; ``K.order_check`` keeps the ``OrderCheck`` record.  The
+    orthomodular law is then checked exhaustively by ``check_orthomodular``,
+    one pass over (element, atom) pairs.
     """
     if L.bottom == L.top:
         raise NoBounds("K(L) needs a bottom strictly below the top, and L "
@@ -540,9 +537,11 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     perp_idx = np.array([kidx[_perp_terms(L, s, rank)] for s in seqs],
                         dtype=np.int64)
     max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
-    K = KalmbachOML(L, tuple(seqs), _signatures(L, seqs), perp_idx, max_chains)
-    K.order_check = K.check_order_against_definition(
-        None if n <= VERIFY_CAP else VERIFY_SAMPLE)
+    lo, hi = _interval_terms(L, seqs)
+    sig = _signatures(L, lo, hi)
+    K = KalmbachOML(L, tuple(seqs), sig, perp_idx, max_chains)
+    K.order_check = K.check_order_against_definition(lo, hi)
+    del lo, hi  # freed before the orthomodular check builds its tables
     K.check_orthomodular()
     return K
 

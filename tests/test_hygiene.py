@@ -40,18 +40,25 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(2, "os"), (4, "c")]
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _unread_private_names(tree):
-    """Private names bound by module-level assignment that the module never
-    reads, such as a chunk size left behind by deleted code."""
+    """Private names bound by module-level assignment, ``def`` or ``class``
+    that the module never reads, such as a chunk size or a helper left
+    behind by deleted code."""
     bound = {}
     for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)) and _private(node.name)):
+            bound.setdefault(node.name, node.lineno)
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign)
                    else [])
         for target in targets:
             for name in ast.walk(target):
-                if (isinstance(name, ast.Name) and name.id.startswith("_")
-                        and not name.id.startswith("__")):
+                if isinstance(name, ast.Name) and _private(name.id):
                     bound.setdefault(name.id, node.lineno)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -69,9 +76,16 @@ def test_unread_private_name_detector():
     tree = ast.parse("__all__ = []\n_CHUNK = 8\n_USED = 2\nPUBLIC = 1\n"
                      "_a, (_b, c) = 1, (2, 3)\n_T: int = 4\n"
                      "def f(_local=_USED):\n    _inner = _b\n"
-                     "    return _inner\n")
+                     "    return _inner\n"
+                     "def _blocks():\n    pass\n"
+                     "async def _fetch():\n    pass\n"
+                     "class _Gone:\n    def _method(self):\n        pass\n"
+                     "def _helper():\n    return _Kept()\n"
+                     "class _Kept:\n    pass\n"
+                     "def __getattr__(name):\n    return _helper\n")
     assert _unread_private_names(tree) == [(2, "_CHUNK"), (5, "_a"),
-                                           (6, "_T")]
+                                           (6, "_T"), (10, "_blocks"),
+                                           (12, "_fetch"), (14, "_Gone")]
 
 
 def test_cli_import_skips_networkx_and_sympy():

@@ -14,13 +14,12 @@ from omlkit.corpus import chain, diamond, mo
 from omlkit.errors import NotOML, TooLarge
 from omlkit.kalmbach import (
     DEFAULT_K_CAP,
-    VERIFY_CAP,
-    VERIFY_SAMPLE,
     KalmbachOML,
     OrderCheck,
     _enumerate_even_chains,
+    _interval_terms,
     _kleq_tables,
-    _pair_blocks,
+    _unpack,
     kalmbach,
     katoms_check,
     kblocks_check,
@@ -107,10 +106,29 @@ def test_structure_checks_on_corpus(kalmbach_corpus):
         assert kcommute_check(K), nm
 
 
+def _check_order(K):
+    return K.check_order_against_definition(*_interval_terms(K.base, K.seqs))
+
+
 def test_order_matches_definition(kalmbach_corpus):
     # exhaustive comparison against the interval-containment definition
     for nm, K in kalmbach_corpus.items():
-        K.check_order_against_definition()
+        _check_order(K)
+
+
+def test_interval_terms_are_built_once_per_k(monkeypatch):
+    # the signatures and the order check share one set of interval ends
+    calls, interval_terms = [], KALMBACH_MODULE._interval_terms
+
+    def counted(L, seqs):
+        calls.append(len(seqs))
+        return interval_terms(L, seqs)
+
+    monkeypatch.setattr(KALMBACH_MODULE, "_interval_terms", counted)
+    for L in (boolean_cube(3), rn_lattice(2)):
+        K = kalmbach(L)
+        assert calls == [K.n]
+        calls.clear()
 
 
 def test_kleq_definitional_examples():
@@ -344,103 +362,67 @@ def test_lookups_are_checked_up_to_the_last_pair(kalmbach_corpus):
         bad.meet_batch(ids, y)
 
 
-def _scalar_pairs(n, sample, seed):
-    """The documented sampled-pair rule of ``_pair_blocks``, a word at a time."""
-    rng = random.Random(seed)
-    bits = (n - 1).bit_length()
-    pairs = []
-    for s in range(0, sample, 1 << 14):
-        want = 2 * min(1 << 14, sample - s)
-        values = []
-        while len(values) < want:
-            buf = rng.randbytes(4 * (want - len(values)))
-            for w in range(0, len(buf), 4):
-                v = int.from_bytes(buf[w : w + 4], "little") & ((1 << bits) - 1)
-                if v < n:
-                    values.append(v)
-        pairs += zip(values[0::2], values[1::2])
-    return pairs
-
-
-def test_pair_blocks_match_the_scalar_generators():
-    n = 200  # n * n and the sample both span more than one block
-    blocks = _pair_blocks(n, None, 0)
-    got = [(int(i), int(j)) for bi, bj in blocks for i, j in zip(bi, bj)]
-    assert got == [(i, j) for i in range(n) for j in range(n)]
-    expected = _scalar_pairs(n, 40_000, 7)
-    blocks = _pair_blocks(n, 40_000, 7)
-    got = [(int(i), int(j)) for bi, bj in blocks for i, j in zip(bi, bj)]
-    assert got == expected
-
-
 def _order_message(K, pair):
     i, j = pair
     return re.escape(f"order mismatch at ({K.names[i]}, {K.names[j]})")
 
 
 def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
-    # every single-bit flip of every signature: exhaustively the check names
-    # the first pair whose order changed, and on a sample it raises exactly
-    # when the sample draws such a pair; a flip that makes two signatures
-    # equal is caught in both modes, since distinctness is never sampled
-    K = kalmbach_corpus["2^3"]
-    ids = np.arange(K.n)
-    leq = K.leq_batch(ids[:, None], ids)
-    drawn = _scalar_pairs(K.n, 50, 5)
+    # every cover bit and the first unused bit of every element of every
+    # corpus K of at most 200 elements, flipped one at a time: while the
+    # signatures stay distinct, the check raises exactly when the order
+    # differs from brute-force kleq_terms on some pair, and it names such a
+    # pair; a flip that makes two signatures equal is caught by distinctness
     outcomes = set()
-    for x, k in itertools.product(range(K.n), range(len(K.atoms_idx()))):
-        bad = _flipped(K, x, k)
-        sig = bad.signatures[:, 0].tolist()
-        if len(set(sig)) < K.n:
-            y = next(y for y in range(K.n) if y != x and sig[y] == sig[x])
-            names = sorted((x, y))
-            message = re.escape(f"equal signatures at ({K.names[names[0]]}, "
-                                f"{K.names[names[1]]})")
-            for args in ((), (50, 5)):
+    pair = re.compile(r"order mismatch at \((\(.*\)), (\(.*\))\)")
+    for nm, K in kalmbach_corpus.items():
+        if K.n > 200:
+            continue
+        ids = np.arange(K.n)
+        seqs, leq = K.seqs, K.base.leq
+        kleq = np.array([[kleq_terms(leq, x, y) for y in seqs] for x in seqs])
+        assert (K.leq_batch(ids[:, None], ids) == kleq).all(), nm
+        covers = int(K.base.cover_matrix.sum())
+        assert K.signatures.shape[1] == 1 and covers < 64, nm
+        for x, k in itertools.product(range(K.n), range(covers + 1)):
+            bad = _flipped(K, x, k)
+            sig = bad.signatures[:, 0].tolist()
+            if len(set(sig)) < K.n:
+                y = next(y for y in range(K.n) if y != x and sig[y] == sig[x])
+                first, second = sorted((x, y))
+                message = re.escape(f"equal signatures at ({K.names[first]}, "
+                                    f"{K.names[second]})")
                 with pytest.raises(AssertionError, match=message):
-                    bad.check_order_against_definition(*args)
-            outcomes.add("equal")
-            continue
-        changed = bad.leq_batch(ids[:, None], ids) != leq
-        wrong = [tuple(p) for p in np.argwhere(changed).tolist()]
-        with pytest.raises(AssertionError, match=_order_message(K, wrong[0])):
-            bad.check_order_against_definition()
-        hits = [p for p in drawn if changed[p]]
-        if hits:
-            with pytest.raises(AssertionError,
-                               match=_order_message(K, hits[0])):
-                bad.check_order_against_definition(50, 5)
-        else:
-            bad.check_order_against_definition(50, 5)
-        outcomes.add(bool(hits))
-    assert outcomes == {"equal", True, False}
+                    _check_order(bad)
+                outcomes.add("equal")
+                continue
+            differs = bad.leq_batch(ids[:, None], ids) != kleq
+            if not differs.any():
+                assert _check_order(bad) == K.order_check, (nm, x, k)
+                outcomes.add("agrees")
+                continue
+            with pytest.raises(AssertionError, match=pair) as raised:
+                _check_order(bad)
+            named = pair.fullmatch(str(raised.value))
+            assert differs[K.index(named[1]), K.index(named[2])], (nm, x, k)
+            outcomes.add("differs")
+    assert outcomes == {"equal", "agrees", "differs"}
 
 
-def test_sampled_order_check_on_a_large_k(rn3):
-    K = rn3[1]
-    assert K.n > VERIFY_CAP  # kalmbach() checked it on a sample
-    own, inside = _kleq_tables(K.base, K.seqs)
-    i, j = next(_pair_blocks(K.n, VERIFY_SAMPLE, 0))
-    want = ~(own[i] & ~inside[j]).any(axis=-1)
-    leq = K.base.leq
-    assert want.tolist() == [kleq_terms(leq, K.seqs[x], K.seqs[y])
-                             for x, y in zip(i.tolist(), j.tolist())]
-    assert want.any() and not want.all()
-    # flip a bit of an element that the first 1000 draws miss; the check
-    # names the first drawn pair whose order then differs from kleq
-    early = set(i[:1000].tolist()) | set(j[:1000].tolist())
-    for x, k in itertools.product(range(K.n), range(len(K.atoms_idx()))):
-        if x in early:
-            continue
-        bad = _flipped(K, x, k)
-        differs = np.flatnonzero(bad.leq_batch(i, j) != want)
-        if len(differs) and len(set(bad.signatures[:, 0].tolist())) == K.n:
-            break
-    first = differs[0]
-    assert first >= 1000
-    message = _order_message(K, (int(i[first]), int(j[first])))
+def test_order_check_needs_the_union_identity(kalmbach_corpus):
+    # an unused high bit in the signature of x, which has two intervals,
+    # changes no test (x_i, y): only the union identity A_x = A_(000,100) |
+    # A_(110,111) fails, and the orders then differ at (x, (000,111))
+    K = kalmbach_corpus["2^3"]
+    x = K.index("(000,100,110,111)")
+    bad = _flipped(K, x, 63)
+    ids = np.arange(K.n)
+    singles = np.array([i for i, s in enumerate(K.seqs) if len(s) <= 2])
+    assert (bad.leq_batch(singles[:, None], ids)
+            == K.leq_batch(singles[:, None], ids)).all()
+    message = _order_message(K, (x, K.index("(000,111)")))
     with pytest.raises(AssertionError, match=message):
-        bad.check_order_against_definition(VERIFY_SAMPLE)
+        _check_order(bad)
 
 
 def test_kleq_tables_match_the_definition(corpus):
@@ -449,30 +431,28 @@ def test_kleq_tables_match_the_definition(corpus):
     bases = {**corpus, "rn2": rn_lattice(2), "M33": diamond(33)}
     for nm, L in bases.items():
         seqs = _enumerate_even_chains(L)
-        own, inside = _kleq_tables(L, seqs)
-        assert own.shape == inside.shape
-        got = ~(own[:, None] & ~inside[None]).any(axis=-1)
+        ivals, inside = _kleq_tables(L, *_interval_terms(L, seqs))
+        own = np.zeros((len(seqs), 64 * inside.shape[1]), dtype=bool)
+        own[np.arange(len(seqs))[:, None], ivals] = True
+        got = ~(own[:, None] & ~_unpack(inside)[None]).any(axis=-1)
         want = [[kleq_terms(L.leq, x, y) for y in seqs] for x in seqs]
         assert got.tolist() == want, nm
-    assert own.shape == (68, 2)
+    assert inside.shape == (68, 2) and ivals.max() == 67
 
 
 def test_order_check_records_how_it_was_established(kalmbach_corpus, rn3,
                                                     rn4):
+    # one test (i, y) per padded interval i of L and element y, at every
+    # size; x_i is the element whose one interval is i
     for nm, K in kalmbach_corpus.items():
-        ids = np.arange(K.n)
-        comparable = int(K.leq_batch(ids[:, None], ids).sum())
-        assert K.order_check == OrderCheck("exhaustive", K.n * K.n, K.n * K.n,
-                                           None, comparable), nm
-    # a uniform sample of a large K mostly confirms incomparability
-    K3, K4 = rn3[1], rn4[1]
-    assert K3.order_check == OrderCheck("sampled", VERIFY_SAMPLE, 3584 ** 2,
-                                        0, 3277)
-    assert K4.order_check == OrderCheck("sampled", VERIFY_SAMPLE, 26752 ** 2,
-                                        0, 1096)
-    i, j = next(_pair_blocks(K3.n, 1000, 7))
-    assert K3.check_order_against_definition(1000, 7) == OrderCheck(
-        "sampled", 1000, 3584 ** 2, 7, int(K3.leq_batch(i, j).sum()))
+        intervals = int(K.base.leq.sum()) - K.base.n + 1
+        x_i = np.array([i for i, s in enumerate(K.seqs) if len(s) <= 2])
+        assert len(x_i) == intervals, nm
+        comparable = int(K.leq_batch(x_i[:, None], np.arange(K.n)).sum())
+        assert K.order_check == OrderCheck("exhaustive", intervals, K.n,
+                                           comparable), nm
+    assert rn3[1].order_check == OrderCheck("exhaustive", 110, 3584, 37121)
+    assert rn4[1].order_check == OrderCheck("exhaustive", 176, 26752, 341889)
 
 
 def _scalar_orthomodular(K):

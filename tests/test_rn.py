@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omlkit.errors import RowsTooSmall
-from omlkit.kalmbach import kalmbach
+from omlkit.kalmbach import OrderCheck, kalmbach
 from omlkit.lattice import compactness_witness
 from omlkit.ortho import has_n_covering
 from omlkit.rn import (
@@ -172,9 +172,11 @@ def test_batched_height_test_matches_a_scalar_4_chain_search(
 
 
 def test_rn_report_rows5():
-    # K(rn 5) has 199,680 elements: the order is checked on a seeded sample,
-    # orthomodularity and both covering laws exhaustively
-    report = rn_report(5)
+    # K(rn 5) has 199,680 elements: the order, orthomodularity and both
+    # covering laws are checked exhaustively
+    K = kalmbach(rn_lattice(5))
+    assert K.order_check == OrderCheck("exhaustive", 258, 199_680, 3_035_649)
+    report = rn_report(5, K)
     assert report["k_size"] == 199_680
     assert report["is_orthomodular"] is True
     assert report["orthomodular_witness"] is None
