@@ -2,20 +2,21 @@
 
 Elements of K(L) are even-length strictly increasing sequences in L, and
 x <= y when every interval [x_2i, x_2i+1] of x lies inside some interval
-[y_2j, y_2j+1] of y.  The atoms of K(L) are the two-term sequences (c, d)
-over the covers c < d of L, and each element x has a signature A_x: the set
-of covers whose interval lies inside some interval of x.  The order is
-inclusion of signatures: a maximal chain of covers from x_2i to x_2i+1 has
-consecutive covers sharing an element, and the intervals of y are pairwise
-disjoint, so if every cover lies in some interval of y, they all lie in one.
-So distinct elements have distinct signatures, a meet is the element whose
-signature is A_x & A_y, and a join is (x' ^ y')'.  Signatures are built from
-the definition (see ``kalmbach``) and their inclusion is checked against the
-definition read from L and the sequences alone: x <= y iff the intervals of
-x all lie among the intervals inside some interval of y (``_kleq_tables``).
-The check is exact at every size: one test per (interval of L, element)
-and one union per element, not one test per pair.
-``KalmbachOML.order_check`` records the tests and how many were comparable.
+[y_2j, y_2j+1] of y; x' has the terms of x XOR {0, 1}.  The atoms of K(L)
+are the two-term sequences (c, d) over the covers c < d of L, and each
+element x has a signature A_x: the set of covers whose interval lies inside
+some interval of x.  The order is inclusion of signatures: a maximal chain
+of covers from x_2i to x_2i+1 has consecutive covers sharing an element,
+and the intervals of y are pairwise disjoint, so if every cover lies in
+some interval of y, they all lie in one.  So distinct elements have
+distinct signatures, a meet is the element whose signature is A_x & A_y,
+and a join is (x' ^ y')'.  Signatures are built from the definition (see
+``kalmbach``) and their inclusion is checked against the definition read
+from L and the sequences alone: x <= y iff the intervals of x all lie among
+the intervals inside some interval of y (``_kleq_tables``).  The check is
+exact at every size: one test per (interval of L, element) and one union
+per element, not one test per pair.  ``KalmbachOML.order_check`` records
+the tests and how many were comparable.
 
 In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach, *Orthomodular
 Lattices*, 1983), so ``interval_heights`` reads interval heights from one
@@ -24,7 +25,6 @@ per-element table of the heights of [0, z].
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,8 +37,8 @@ from .ortho import blocks, ortholattice
 DEFAULT_K_CAP = 200_000
 # as_ortholattice builds dense n x n tables only up to this many elements.
 MAX_DENSE_SIZE = 2048
-# union_is_chain and the order check handle at most this many bytes per
-# step, so the step's temporaries stay in a core's cache.
+# The order check handles at most this many bytes per step, so the step's
+# temporaries stay in a core's cache.
 _BLOCK_BYTES = 1 << 19
 _UPPER = "upper-bound set has no least element"
 _LOWER = "lower-bound set has no greatest element"
@@ -66,13 +66,10 @@ def kleq(L, x_names, y_names):
     return kleq_terms(L.leq, x, y)
 
 
-def _perp_terms(L, terms, rank):
-    return tuple(sorted(set(terms) ^ {L.bottom, L.top}, key=rank.__getitem__))
-
-
 def kperp_terms(L, terms):
     """Symmetric difference of the term set with the bounds, sorted in L."""
-    return _perp_terms(L, terms, {e: k for k, e in enumerate(L.linear_extension())})
+    rank = {e: k for k, e in enumerate(L.linear_extension())}
+    return tuple(sorted(set(terms) ^ {L.bottom, L.top}, key=rank.__getitem__))
 
 
 def kperp(L, x_names):
@@ -90,57 +87,44 @@ def _count_even_chains(L):
     return 1 + sum(even)
 
 
-def _enumerate_even_chains(L):
-    """All even-length chains of L as rank-sorted index tuples, DFS order."""
-    ext = L.linear_extension()
-    above = {u: [v for v in ext if v != u and L.leq[u, v]] for u in ext}
-    out = []
-    _walk_chains((), ext, above, out)
-    return out
+def _even_chains(L):
+    """The even-length chains of L, ordered by rank tuple, a prefix first.
 
-
-def _walk_chains(seq, ups, above, out):
-    """Append to out, in DFS order, seq and every chain that extends it
-    upward, if of even length; ``ups`` are the elements above its last term,
-    in rank order.  Module level, because a nested function that calls
-    itself is a reference cycle: it would keep ``out`` alive until the
-    garbage collector's next full pass."""
-    if len(seq) % 2 == 0:
-        out.append(seq)
-    for v in ups:
-        _walk_chains(seq + (v,), above[v], above, out)
-
-
-def _interval_terms(L, seqs):
-    """Padded (n, p) arrays of the interval ends (x_2i, x_2i+1) of each seq.
-
-    The padding (top, bottom) lies inside every interval and contains only
-    itself.
+    Returns the padded (n, 2p) terms, each chain bottom to top and padded
+    with (top, bottom), which lies inside every interval and contains only
+    itself; and the (n, w) little-endian uint64 term masks, bit e of a row
+    in word e // 64 set when e is a term, w = ceil(L.n / 64).  The chains
+    grow one level at a time in the ranks of L's linear extension, with
+    their masks: each is extended by every rank strictly above its last,
+    read from a CSR of the strict up-sets, and the even levels are kept.
     """
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    p = max(1, int(lengths.max()) // 2)
-    pad = np.array([L.top, L.bottom], dtype=np.int64)
-    terms = np.tile(pad, (len(seqs), p))
-    flat = itertools.chain.from_iterable(seqs)
-    terms[np.arange(2 * p) < lengths[:, None]] = np.fromiter(
-        flat, dtype=np.int64, count=int(lengths.sum()))
-    return terms[:, 0::2], terms[:, 1::2]
-
-
-def _blocks(xs, ys, row_bytes):
-    """Slices of the broadcast of id arrays xs and ys, for a blocked kernel.
-
-    None when one step of _BLOCK_BYTES, at ``row_bytes`` per pair, holds the
-    whole broadcast.  Otherwise (shape, [(xs, ys), ...]): the raveled
-    broadcast cut into slices of at most that many pairs.
-    """
-    b = np.broadcast(xs, ys)
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    if b.size <= step:
-        return None
-    xs, ys = (np.broadcast_to(a, b.shape).ravel() for a in (xs, ys))
-    return b.shape, [(xs[s : s + step], ys[s : s + step])
-                     for s in range(0, b.size, step)]
+    ext = np.array(L.linear_extension())
+    up = L.leq[ext[:, None], ext] & ~np.eye(L.n, dtype=bool)
+    counts_of = up.sum(axis=1)
+    starts = np.cumsum(counts_of) - counts_of
+    rank_dtype = np.min_scalar_type(-L.n)  # signed, for the padding -1
+    above = np.nonzero(up)[1].astype(rank_dtype)
+    bits = _pack(np.eye(L.n, dtype=bool)[ext])  # the mask of each rank
+    chains, masks = np.arange(L.n, dtype=rank_dtype)[:, None], bits
+    levels = [(chains[:1, :0], np.zeros_like(bits[:1]))]
+    while len(chains):
+        if chains.shape[1] % 2 == 0:
+            levels.append((chains, masks))
+        last = chains[:, -1]
+        counts = counts_of[last]
+        parent = np.repeat(np.arange(len(chains)), counts)
+        first = (starts[last] - np.cumsum(counts) + counts)[parent]
+        new = above[first + np.arange(len(parent))]
+        chains = np.column_stack((chains[parent], new))
+        masks = masks[parent] | bits[new]
+    p = max(1, levels[-1][0].shape[1] // 2)
+    ranks = np.concatenate([
+        np.column_stack((c, np.full((len(c), 2 * p - c.shape[1]), -1, c.dtype)))
+        for c, _ in levels])
+    order = np.lexsort(ranks.T[::-1])
+    ranks, masks = ranks[order], np.concatenate([m for _, m in levels])[order]
+    terms = np.where(ranks < 0, np.tile([L.top, L.bottom], p), ext[ranks])
+    return terms, masks
 
 
 def _pack(bits):
@@ -167,10 +151,35 @@ def _keys(sig):
     return sig.view(np.dtype((np.void, sig.itemsize * sig.shape[-1])))[..., 0]
 
 
+def _mask(n, elements):
+    """The (1, w) words of ``_pack`` with the bits of ``elements`` set."""
+    bits = np.zeros((1, n), dtype=bool)
+    bits[0, list(elements)] = True
+    return _pack(bits)
+
+
+def _sort_index(sig):
+    """The rows of a (n, w) word array in key order, and their sorted keys."""
+    keys = _keys(sig)
+    ids = np.argsort(keys, kind="stable")
+    return ids, keys[ids]
+
+
+def _search(index, sig, message):
+    """The ids, by a ``_sort_index`` index, of the rows with the words in the
+    (..., w) array sig; raises AssertionError(message) if one has none."""
+    ids, sorted_keys = index
+    keys = _keys(sig)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(ids) - 1)
+    if not (sorted_keys[pos] == keys).all():
+        raise AssertionError(message)
+    return ids[pos]
+
+
 def _signatures(L, lo, hi):
-    """The signatures of the elements with the interval ends lo, hi of
-    ``_interval_terms``, one bit per cover (c, d) of L: bit k of row x says
-    that [c, d] lies inside some interval [x_2i, x_2i+1]."""
+    """The signatures of the elements with the interval ends lo, hi of the
+    ``_even_chains`` terms, one bit per cover (c, d) of L: bit k of row x
+    says that [c, d] lies inside some interval [x_2i, x_2i+1]."""
     covers = np.argwhere(L.cover_matrix)
     inside = np.zeros((len(lo), len(covers)), dtype=bool)
     for k, (c, d) in enumerate(covers):
@@ -181,7 +190,7 @@ def _signatures(L, lo, hi):
 def _kleq_tables(L, lo, hi):
     """(ivals, inside) with kleq_terms(L.leq, seqs[x], seqs[y]) true iff
     every number in ivals[x] is a bit of inside[y], built from the order of L
-    and the interval ends lo, hi of ``_interval_terms`` alone.
+    and the interval ends lo, hi of the ``_even_chains`` terms alone.
 
     The intervals of L are numbered: the pairs a < b in row-major order, then
     the padding (top, bottom), which lies inside every interval and contains
@@ -230,12 +239,14 @@ class KalmbachOML:
     compactness_witness work on it directly.  ``signatures`` is the (n, w)
     little-endian uint64 array of the element signatures, bit k of row x set
     when the k-th atom lies below x; assigning it rebuilds the sorted
-    lookup that meets and joins go through.
+    lookup that meets and joins go through.  ``masks`` holds the term masks
+    of ``_even_chains``, bit e of row x set when e is a term of x.
     """
 
-    def __init__(self, base, seqs, signatures, perp_idx, max_chains):
+    def __init__(self, base, seqs, masks, signatures, perp_idx, max_chains):
         self.base = base
         self.seqs = seqs
+        self.masks = masks
         self.names = tuple(seq_name(base, s) for s in seqs)
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self.signatures = signatures
@@ -254,9 +265,7 @@ class KalmbachOML:
     @signatures.setter
     def signatures(self, sig):
         self._signatures = sig
-        keys = _keys(sig)
-        self._ids = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._ids]
+        self._sig_index = _sort_index(sig)
         self.__dict__.pop("_heights", None)
 
     # -- protocol -------------------------------------------------------
@@ -279,27 +288,19 @@ class KalmbachOML:
     def leq_idx(self, i, j):
         return bool(self.leq_batch(i, j))
 
-    def _lookup(self, sig, message):
-        """The ids of the elements with the signatures in the (..., w) array
-        sig; raises AssertionError(message) if any of them has none."""
-        keys = _keys(sig)
-        pos = np.minimum(np.searchsorted(self._sorted, keys), self.n - 1)
-        if not (self._sorted[pos] == keys).all():
-            raise AssertionError(message)
-        return self._ids[pos]
-
     def meet_batch(self, xs, ys):
         """Meets x ^ y over broadcast id arrays: the element whose signature
         is A_x & A_y, which exists whenever the meet does."""
         sig = self.signatures
-        return self._lookup(sig[xs] & sig[ys], _LOWER)
+        return _search(self._sig_index, sig[xs] & sig[ys], _LOWER)
 
     def join_batch(self, xs, ys):
         """Joins x v y = (x' ^ y')' over broadcast id arrays, each checked to
         lie above x and y.  This needs perp to be an order-reversing
         involution, a premise that ``check_orthomodular`` checks."""
         sig, perp = self.signatures, self.perp_idx
-        js = perp[self._lookup(sig[perp[xs]] & sig[perp[ys]], _UPPER)]
+        js = perp[_search(self._sig_index, sig[perp[xs]] & sig[perp[ys]],
+                          _UPPER)]
         if not (self.leq_batch(xs, js) & self.leq_batch(ys, js)).all():
             raise AssertionError(_UPPER)
         return js
@@ -363,28 +364,23 @@ class KalmbachOML:
         cd = self.meet_batch(self.join_batch(pxs, ys), self.join_batch(pxs, pys))
         return self.meet_batch(ab, cd) == self.bottom
 
-    @cached_property
-    def _terms(self):
-        """Padded (n, 2p) terms of each sequence; built on first use, because
-        only ``union_is_chain`` reads it and the rn report never calls that."""
-        return np.concatenate(_interval_terms(self.base, self.seqs), axis=1)
+    def within(self, elements):
+        """Whether every term of x lies in ``elements`` of L, for every x."""
+        return ~(self.masks & ~_mask(self.base.n, elements)).any(axis=1)
 
     def union_is_chain(self, xs, ys):
         """Whether the terms of x and y form a chain in L, over id arrays.
 
-        Each sequence is a chain and the padding is comparable to everything,
-        so only a term of x against a term of y needs comparing.  The input
-        is walked in blocks, counting 8 bytes per pair of terms compared.
+        Each sequence is a chain, so this holds iff the terms of y lie in
+        ok[x], the elements of L comparable to every term of x, read from
+        the order of the base at each call.
         """
-        parts = _blocks(xs, ys, 8 * self._terms.shape[1] ** 2)
-        if parts:
-            shape, parts = parts
-            return np.concatenate([self.union_is_chain(x, y)
-                                   for x, y in parts]).reshape(shape)
         leq = self.base.leq
-        tx = self._terms[xs][..., :, None]
-        ty = self._terms[ys][..., None, :]
-        return (leq[tx, ty] | leq[ty, tx]).all(axis=(-2, -1))
+        has = _unpack(self.masks)
+        ok = np.full_like(self.masks, ~np.uint64(0))
+        for e, row in enumerate(_pack(leq | leq.T)):
+            ok[has[:, e]] &= row
+        return ~(self.masks[ys] & ~ok[xs]).any(axis=-1)
 
     # -- verification ---------------------------------------------------
 
@@ -392,7 +388,7 @@ class KalmbachOML:
         """Check that the signatures are distinct and that their inclusion
         is the definitional kleq on all pairs; returns an ``OrderCheck``.
 
-        lo, hi are the ``_interval_terms`` of the sequences.  By
+        lo, hi are the interval ends of the terms of ``_even_chains``.  By
         ``_kleq_tables``, which never looks at the signatures, x <= y iff
         every interval i of x lies in inside[y].  Let x_i be the element
         whose one interval is i: (a_i, b_i), or () for the padding.  Two
@@ -406,9 +402,10 @@ class KalmbachOML:
         else at the first x failing (b): at the first y where the orders
         differ on (x, y), or at x alone if there is none.
         """
-        same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+        order, keys = self._sig_index
+        same = np.flatnonzero(keys[1:] == keys[:-1])
         if len(same):
-            x, y = self._ids[same[0]], self._ids[same[0] + 1]
+            x, y = order[same[0]], order[same[0] + 1]
             raise AssertionError(
                 f"equal signatures at ({self.names[x]}, {self.names[y]})")
         ivals, inside = _kleq_tables(self.base, lo, hi)
@@ -514,14 +511,17 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     """Construct K(L) for a finite bounded lattice L.
 
     Raises TooLarge, before enumerating anything, when the even-length-chain
-    count exceeds ``cap``.  The signatures are built from the definition:
-    bit k of x says that the k-th cover of L lies inside an interval of x.
-    They are checked distinct, and their inclusion is checked against the
-    definition on all pairs, by one test per (interval of L, element) and
-    the union identity of ``check_order_against_definition``, over interval
-    ends built once; ``K.order_check`` keeps the ``OrderCheck`` record.  The
-    orthomodular law is then checked exhaustively by ``check_orthomodular``,
-    one pass over (element, atom) pairs.
+    count exceeds ``cap``.  One ``_even_chains`` call gives ``seqs``, the
+    interval ends and ``K.masks``; x' is found by one sorted search for the
+    mask of x XOR {bottom, top}.  The signatures are built from the
+    definition: bit k of x says that the k-th cover of L lies inside an
+    interval of x.  They are checked distinct, and their inclusion is
+    checked against the definition on all pairs, by one test per (interval
+    of L, element) and the union identity of
+    ``check_order_against_definition``; ``K.order_check`` keeps the
+    ``OrderCheck`` record.  The orthomodular law is then checked
+    exhaustively by ``check_orthomodular``, one pass over (element, atom)
+    pairs.
     """
     if L.bottom == L.top:
         raise NoBounds("K(L) needs a bottom strictly below the top, and L "
@@ -531,17 +531,18 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
         raise TooLarge(
             f"K(L) has {n} elements, over the configured cap of {cap} elements"
         )
-    seqs = _enumerate_even_chains(L)
-    kidx = {s: i for i, s in enumerate(seqs)}
-    rank = {e: k for k, e in enumerate(L.linear_extension())}
-    perp_idx = np.array([kidx[_perp_terms(L, s, rank)] for s in seqs],
-                        dtype=np.int64)
+    terms, masks = _even_chains(L)
+    bounds = _mask(L.n, (L.bottom, L.top))
+    perp_idx = _search(_sort_index(masks), masks ^ bounds,
+                       "a sequence has no orthocomplement")
+    lengths = np.bitwise_count(masks).sum(axis=1).tolist()
+    seqs = tuple(tuple(t[:k]) for t, k in zip(terms.tolist(), lengths))
     max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
-    lo, hi = _interval_terms(L, seqs)
+    lo, hi = terms[:, 0::2], terms[:, 1::2]
     sig = _signatures(L, lo, hi)
-    K = KalmbachOML(L, tuple(seqs), sig, perp_idx, max_chains)
+    K = KalmbachOML(L, seqs, masks, sig, perp_idx, max_chains)
     K.order_check = K.check_order_against_definition(lo, hi)
-    del lo, hi  # freed before the orthomodular check builds its tables
+    del terms, lo, hi  # freed before the orthomodular check builds its tables
     K.check_orthomodular()
     return K
 
@@ -560,10 +561,8 @@ def kblocks_check(K):
     """Blocks of K(L) correspond bijectively to maximal chains via C -> K(C)."""
     OL = K.as_ortholattice()
     clique_blocks = {frozenset(b.elements) for b in blocks(OL)}
-    chain_blocks = {
-        frozenset(K.names[i] for i, s in enumerate(K.seqs) if set(s) <= C)
-        for C in map(set, K.max_chains)
-    }
+    chain_blocks = {frozenset(K.names[i] for i in np.flatnonzero(K.within(C)))
+                    for C in K.max_chains}
     return clique_blocks == chain_blocks and len(chain_blocks) == len(K.max_chains)
 
 

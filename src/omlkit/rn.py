@@ -169,9 +169,7 @@ def claim1_join_check(K, atom_name):
 def central_elements(K):
     """Elements of K lying in every block: term sets inside every max chain."""
     common = set.intersection(*(set(C) for C in K.max_chains))
-    return sorted(
-        K.names[i] for i, s in enumerate(K.seqs) if set(s) <= common
-    )
+    return sorted(K.names[i] for i in np.flatnonzero(K.within(common)))
 
 
 def covering_report(K):
@@ -186,8 +184,7 @@ def covering_report(K):
     name, x name) pairs, least among those found.  The x above the atom a
     are skipped: there a v x = x, so neither law can fail.
     """
-    base_top = K.base.top
-    touches_top = np.array([base_top in s for s in K.seqs])
+    touches_top = ~K.within(set(range(K.base.n)) - {K.base.top})
     by_name = sorted(range(K.n), key=K.names.__getitem__)
     name_rank = np.empty(K.n, dtype=np.int64)
     name_rank[by_name] = np.arange(K.n)

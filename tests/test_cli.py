@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import pytest
 import yaml
@@ -417,6 +418,15 @@ def test_rn_report_golden_text(capsys):
     # pins the whole ladder report: every verdict, count and least witness
     assert main(["rn", "--rows", "3", "--report"]) == 0
     assert capsys.readouterr().out == RN_REPORT_3
+
+
+def test_rn_kalmbach_golden_digest(capsys):
+    # pins the emitted K(rn 2), its elements in id order among the rest
+    assert main(["rn", "--rows", "2", "--kalmbach"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 128_248
+    assert hashlib.sha256(out).hexdigest() == (
+        "82c7c808c5243dbef5fab2aa6aaa028276bea9cb64644b166b8154036cc99f2d")
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,8 +16,7 @@ from omlkit.kalmbach import (
     DEFAULT_K_CAP,
     KalmbachOML,
     OrderCheck,
-    _enumerate_even_chains,
-    _interval_terms,
+    _even_chains,
     _kleq_tables,
     _unpack,
     kalmbach,
@@ -28,10 +27,11 @@ from omlkit.kalmbach import (
     kleq,
     kleq_terms,
     kperp,
+    kperp_terms,
     phi_chain,
     seq_name,
 )
-from omlkit.lattice import find_isomorphism, lattice_from_covers
+from omlkit.lattice import find_isomorphism, height, lattice_from_covers
 from omlkit.latfile import document_from_lattice
 from omlkit.corpus import boolean_cube
 from omlkit.ortho import (
@@ -58,10 +58,41 @@ def test_chain_enumeration_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert len(_enumerate_even_chains(chain(6))) == 32
+        assert len(_even_chains(chain(6))[0]) == 32
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _reference_even_chains(L):
+    """Every subset of L that is a chain of even size, as rank-sorted index
+    tuples, ordered by rank tuple with a prefix first."""
+    rank = {e: k for k, e in enumerate(L.linear_extension())}
+    chains = [
+        tuple(sorted(s, key=rank.__getitem__))
+        for k in range(0, height(L) + 2, 2)
+        for s in itertools.combinations(range(L.n), k)
+        if all(L.leq[u, v] or L.leq[v, u]
+               for u, v in itertools.combinations(s, 2))
+    ]
+    return sorted(chains, key=lambda c: [rank[e] for e in c])
+
+
+def test_even_chains_match_a_brute_force_enumeration(corpus):
+    # every corpus base, rn 2, and M_70, whose 72 elements take two mask words
+    bases = {**corpus, "rn2": rn_lattice(2), "M70": diamond(70)}
+    for nm, L in bases.items():
+        want = _reference_even_chains(L)
+        terms, masks = _even_chains(L)
+        p = max(1, max(map(len, want)) // 2)
+        assert terms.shape == (len(want), 2 * p), nm
+        assert masks.shape == (len(want), -(-L.n // 64)), nm
+        bits = _unpack(masks)
+        for row, mask, chain_ in zip(terms.tolist(), bits, want):
+            pad = [L.top, L.bottom] * (p - len(chain_) // 2)
+            assert row == [*chain_, *pad], nm
+            assert np.flatnonzero(mask).tolist() == sorted(chain_), nm
+    assert masks.shape == (142, 2)
 
 
 def test_k_of_c4_is_cube():
@@ -106,8 +137,11 @@ def test_structure_checks_on_corpus(kalmbach_corpus):
         assert kcommute_check(K), nm
 
 
-def _check_order(K):
-    return K.check_order_against_definition(*_interval_terms(K.base, K.seqs))
+def _check_order(K, terms=None):
+    """K's order check, over the terms of its base, enumerated if not given."""
+    if terms is None:
+        terms = _even_chains(K.base)[0]
+    return K.check_order_against_definition(terms[:, 0::2], terms[:, 1::2])
 
 
 def test_order_matches_definition(kalmbach_corpus):
@@ -117,16 +151,20 @@ def test_order_matches_definition(kalmbach_corpus):
 
 
 def test_interval_terms_are_built_once_per_k(monkeypatch):
-    # the signatures and the order check share one set of interval ends
-    calls, interval_terms = [], KALMBACH_MODULE._interval_terms
+    # one enumeration of the chains gives the sequences, the interval ends,
+    # the masks and perp; kcommute_check enumerates nothing again
+    calls, even_chains = [], KALMBACH_MODULE._even_chains
 
-    def counted(L, seqs):
-        calls.append(len(seqs))
-        return interval_terms(L, seqs)
+    def counted(L):
+        terms, masks = even_chains(L)
+        calls.append(len(terms))
+        return terms, masks
 
-    monkeypatch.setattr(KALMBACH_MODULE, "_interval_terms", counted)
+    monkeypatch.setattr(KALMBACH_MODULE, "_even_chains", counted)
     for L in (boolean_cube(3), rn_lattice(2)):
         K = kalmbach(L)
+        assert calls == [K.n]
+        assert kcommute_check(K)
         assert calls == [K.n]
         calls.clear()
 
@@ -149,6 +187,15 @@ def test_kperp_involution_and_order_inversion(kalmbach_corpus):
                 for j in range(K.n):
                     if K.leq_idx(i, j):
                         assert K.leq_idx(K.perp(j), K.perp(i)), nm
+
+
+def test_perp_is_the_definitional_kperp(kalmbach_corpus):
+    # x' has the terms of x symmetric-differenced with the bounds of L
+    ks = {**kalmbach_corpus, "rn2": kalmbach(rn_lattice(2)),
+          "M70": kalmbach(diamond(70))}
+    for nm, K in ks.items():
+        for i, s in enumerate(K.seqs):
+            assert K.seqs[K.perp(i)] == kperp_terms(K.base, s), (nm, i)
 
 
 def test_kperp_term_sets():
@@ -315,11 +362,10 @@ def test_isomorphism_queries_need_an_orthomodular_k(kalmbach_corpus):
 
 def test_one_row_blocks_match_the_dense_references(kalmbach_corpus,
                                                    monkeypatch):
-    # a budget of one byte makes every union_is_chain step a single pair
+    # a budget of one byte makes every step of the order check a single
+    # interval, so the pairs it names come from later blocks too
     monkeypatch.setattr(KALMBACH_MODULE, "_BLOCK_BYTES", 1)
-    test_broadcast_queries_match_dense_references(kalmbach_corpus)
-    test_interval_queries_match_the_dense_order(kalmbach_corpus)
-    test_interval_heights_match_the_dense_heights(kalmbach_corpus)
+    test_order_check_catches_a_flipped_bit(kalmbach_corpus)
 
 
 def _flipped(K, x, k):
@@ -380,6 +426,7 @@ def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
             continue
         ids = np.arange(K.n)
         seqs, leq = K.seqs, K.base.leq
+        terms = _even_chains(K.base)[0]
         kleq = np.array([[kleq_terms(leq, x, y) for y in seqs] for x in seqs])
         assert (K.leq_batch(ids[:, None], ids) == kleq).all(), nm
         covers = int(K.base.cover_matrix.sum())
@@ -393,16 +440,16 @@ def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
                 message = re.escape(f"equal signatures at ({K.names[first]}, "
                                     f"{K.names[second]})")
                 with pytest.raises(AssertionError, match=message):
-                    _check_order(bad)
+                    _check_order(bad, terms)
                 outcomes.add("equal")
                 continue
             differs = bad.leq_batch(ids[:, None], ids) != kleq
             if not differs.any():
-                assert _check_order(bad) == K.order_check, (nm, x, k)
+                assert _check_order(bad, terms) == K.order_check, (nm, x, k)
                 outcomes.add("agrees")
                 continue
             with pytest.raises(AssertionError, match=pair) as raised:
-                _check_order(bad)
+                _check_order(bad, terms)
             named = pair.fullmatch(str(raised.value))
             assert differs[K.index(named[1]), K.index(named[2])], (nm, x, k)
             outcomes.add("differs")
@@ -430,8 +477,9 @@ def test_kleq_tables_match_the_definition(corpus):
     # intervals a < b and padding take two words; no signature is built
     bases = {**corpus, "rn2": rn_lattice(2), "M33": diamond(33)}
     for nm, L in bases.items():
-        seqs = _enumerate_even_chains(L)
-        ivals, inside = _kleq_tables(L, *_interval_terms(L, seqs))
+        seqs = _reference_even_chains(L)
+        terms = _even_chains(L)[0]
+        ivals, inside = _kleq_tables(L, terms[:, 0::2], terms[:, 1::2])
         own = np.zeros((len(seqs), 64 * inside.shape[1]), dtype=bool)
         own[np.arange(len(seqs))[:, None], ivals] = True
         got = ~(own[:, None] & ~_unpack(inside)[None]).any(axis=-1)
