@@ -32,10 +32,13 @@ import numpy as np
 
 from .errors import NoBounds, NotOML, TooLarge
 from .lattice import BoundedLattice, maximal_chains
-from .ortho import blocks, ortholattice
+from .ortho import boolean_cliques, ortholattice
 
 DEFAULT_K_CAP = 200_000
-# as_ortholattice builds dense n x n tables only up to this many elements.
+# as_ortholattice (n x n tables), kblocks and so kblocks_check (queries over
+# the n (n + 1) / 2 pairs x <= y of ids, and an n x n commutation matrix) and
+# kcommute_check (queries over the same pairs) raise TooLarge, before
+# allocating, above this many elements.
 MAX_DENSE_SIZE = 2048
 # The order check handles at most this many bytes per step, so the step's
 # temporaries stay in a core's cache.
@@ -495,11 +498,7 @@ class KalmbachOML:
 
     def as_ortholattice(self):
         """Materialize K(L) as a table-backed OrthoLattice (small K only)."""
-        if self.n > MAX_DENSE_SIZE:
-            raise TooLarge(
-                f"K has {self.n} elements; table materialization capped at "
-                f"{MAX_DENSE_SIZE}"
-            )
+        _check_dense(self, "table materialization")
         ids = np.arange(self.n)
         full = self.leq_batch(ids[:, None], ids)
         L = BoundedLattice.from_leq(self.names, full, max_size=MAX_DENSE_SIZE)
@@ -557,19 +556,49 @@ def katoms_check(K):
     return set(K.atoms_idx()) == expected
 
 
+def _check_dense(K, work):
+    """Raise TooLarge, before any n x n work, when K has more than
+    MAX_DENSE_SIZE elements."""
+    if K.n > MAX_DENSE_SIZE:
+        raise TooLarge(
+            f"K has {K.n} elements; {work} capped at {MAX_DENSE_SIZE}")
+
+
+def _commuting_pairs(K, work):
+    """The id pairs (x, y) with x <= y as numbers, the upper triangle with
+    its diagonal, and whether each pair commutes, as three arrays."""
+    _check_dense(K, work)
+    xs, ys = np.triu_indices(K.n)
+    return xs, ys, K.commutes_idx(xs, ys)
+
+
+def kblocks(K):
+    """The blocks of K(L) as sorted id lists: the maximal cliques of the
+    commutation graph from ``K.commutes_idx``, each verified to be a Boolean
+    subalgebra from K's batch queries by ``ortho.boolean_cliques``.
+
+    Raises NotOML unless ``check_orthomodular`` has found K orthomodular.
+    """
+    if K.orthomodular is not True:
+        raise NotOML("blocks are only computed for orthomodular lattices")
+    xs, ys, commutes = _commuting_pairs(K, "the block search")
+    comm = np.zeros((K.n, K.n), dtype=bool)
+    comm[xs, ys] = comm[ys, xs] = commutes
+    return boolean_cliques(K, comm)
+
+
 def kblocks_check(K):
     """Blocks of K(L) correspond bijectively to maximal chains via C -> K(C)."""
-    OL = K.as_ortholattice()
-    clique_blocks = {frozenset(b.elements) for b in blocks(OL)}
-    chain_blocks = {frozenset(K.names[i] for i in np.flatnonzero(K.within(C)))
+    clique_blocks = {frozenset(b) for b in kblocks(K)}
+    chain_blocks = {frozenset(np.flatnonzero(K.within(C)).tolist())
                     for C in K.max_chains}
     return clique_blocks == chain_blocks and len(chain_blocks) == len(K.max_chains)
 
 
 def kcommute_check(K):
     """commutes(x, y) iff the union of term sets is a chain in L (all pairs)."""
-    xs, ys = np.triu_indices(K.n)
-    return bool((K.commutes_idx(xs, ys) == K.union_is_chain(xs, ys)).all())
+    xs, ys, commutes = _commuting_pairs(K, "the commutation check")
+    return bool((commutes == K.union_is_chain(xs, ys)).all())
 
 
 def phi_chain(C, x_names):

@@ -62,6 +62,20 @@ class OrthoLattice:
     def top(self):
         return self.lattice.top
 
+    # the batch queries of KalmbachOML, as table slices
+    @property
+    def perp_idx(self):
+        return self.perp
+
+    def leq_batch(self, xs, ys):
+        return self.lattice.leq[xs, ys]
+
+    def meet_batch(self, xs, ys):
+        return self.lattice.meet[xs, ys]
+
+    def join_batch(self, xs, ys):
+        return self.lattice.join[xs, ys]
+
     def perp_name(self, name):
         return self.names[self.perp[self.index(name)]]
 
@@ -177,42 +191,66 @@ class Block:
     verified_boolean: bool = field(default=True, compare=False)
 
 
-def _verify_boolean_subalgebra(OL, members):
+def _verify_boolean_subalgebra(Q, members):
     """Members must form a Boolean subalgebra with bounds; hard error if not.
 
+    Q answers the batch queries of ``KalmbachOML``: ``bottom``, ``top``, the
+    ``perp_idx`` array and ``leq_batch``, ``meet_batch``, ``join_batch`` over
+    broadcast id arrays.  An OrthoLattice answers them from its tables.
     Distributivity is tested through phi(x) = {atoms a of M : a <= x}, as a
     bit mask: M is distributive iff |M| = 2^|A|, phi is injective and maps
     joins to unions and meets to intersections.  Then phi is a lattice
     isomorphism onto the power set of the atoms A.  Conversely M, closed
     under the orthocomplement, is complemented, so a distributive M is a
     finite Boolean algebra and phi its standard isomorphism.  The test
-    takes O(m^2) table lookups.
+    takes O(m^2) queries, three m x m batches.
     """
-    L, perp = OL.lattice, OL.perp
     mem = np.array(sorted(members), dtype=np.int64)
-    mset = set(int(i) for i in mem)
-    if OL.bottom not in mset or OL.top not in mset:
+    mset = set(mem.tolist())
+    if Q.bottom not in mset or Q.top not in mset:
         raise AssertionError("block candidate misses a bound")
-    if not all(int(perp[i]) in mset for i in mem):
+    if not mset.issuperset(Q.perp_idx[mem].tolist()):
         raise AssertionError("block candidate not closed under perp")
-    mm = L.meet[np.ix_(mem, mem)]
-    jj = L.join[np.ix_(mem, mem)]
-    if not (np.isin(mm, mem).all() and np.isin(jj, mem).all()):
+    rows = mem[:, None]
+    mm = Q.meet_batch(rows, mem)
+    jj = Q.join_batch(rows, mem)
+    # positions in mem, clipped, so an id outside mem reads a member
+    # that differs from it
+    mpos, jpos = (np.minimum(np.searchsorted(mem, t), len(mem) - 1)
+                  for t in (mm, jj))
+    if not ((mem[mpos] == mm).all() and (mem[jpos] == jj).all()):
         raise AssertionError("block candidate not closed under meet/join")
-    le = L.leq[np.ix_(mem, mem)]
+    le = Q.leq_batch(rows, mem)
     atoms = np.where(le.sum(axis=0) == 2)[0]   # just bottom and x are <= x
     if len(mem) != 1 << len(atoms):
         raise AssertionError("block candidate is not distributive")
     bit = np.left_shift(np.int64(1), np.arange(len(atoms), dtype=np.int64))
     phi = (le[atoms] * bit[:, None]).sum(axis=0)
-    remap = np.full(L.n, -1, dtype=np.int64)
-    remap[mem] = np.arange(len(mem))
     if not (
         len(set(phi.tolist())) == len(mem)
-        and (phi[remap[jj]] == phi[:, None] | phi[None, :]).all()
-        and (phi[remap[mm]] == phi[:, None] & phi[None, :]).all()
+        and (phi[jpos] == phi[:, None] | phi[None, :]).all()
+        and (phi[mpos] == phi[:, None] & phi[None, :]).all()
     ):
         raise AssertionError("block candidate is not distributive")
+
+
+def boolean_cliques(Q, comm):
+    """The maximal cliques of the commutation matrix ``comm``, each verified
+    to be a Boolean subalgebra of Q containing the bounds, as sorted id lists.
+
+    Q answers the queries of ``_verify_boolean_subalgebra``; the diagonal
+    of ``comm`` is ignored.  A verification failure is a hard internal error
+    since it would falsify orthomodularity.
+    """
+    rows = np.packbits(comm, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") & ~(1 << v)
+           for v, row in enumerate(rows)]
+    out = []
+    for mask in _maximal_cliques(adj):
+        clique = _bit_indices(mask)
+        _verify_boolean_subalgebra(Q, clique)
+        out.append(clique)
+    return out
 
 
 def _maximal_cliques(adj):
@@ -261,21 +299,13 @@ def _bit_indices(mask):
 def blocks(OL):
     """All blocks, via maximal cliques of the commutation graph.
 
-    Each clique is verified to be a Boolean subalgebra containing the bounds;
-    a verification failure is a hard internal error since it would falsify
-    orthomodularity.
+    Each clique is verified to be a Boolean subalgebra containing the bounds
+    by ``boolean_cliques``, from slices of the tables.
     """
     if not _om_status(OL):
         raise NotOML("blocks are only computed for orthomodular lattices")
-    comm = commutation_matrix(OL)
-    np.fill_diagonal(comm, False)
-    rows = np.packbits(comm, axis=1, bitorder="little")
-    adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    out = []
-    for mask in _maximal_cliques(adj):
-        clique = _bit_indices(mask)
-        _verify_boolean_subalgebra(OL, clique)
-        out.append(Block(frozenset(OL.names[i] for i in clique)))
+    out = [Block(frozenset(OL.names[i] for i in clique))
+           for clique in boolean_cliques(OL, commutation_matrix(OL))]
     out.sort(key=lambda b: tuple(sorted(b.elements)))
     return out
 

@@ -13,7 +13,7 @@ from omlkit.corpus import (
     pentagon,
 )
 from omlkit.kalmbach import DEFAULT_K_CAP, kalmbach
-from omlkit.lattice import covers, find_isomorphism
+from omlkit.lattice import BoundedLattice, covers, find_isomorphism
 from omlkit.latfile import (
     build_lattice,
     document_from_lattice,
@@ -159,6 +159,24 @@ def test_kalmbach_pipeline_checks():
     report = run_checks(doc, with_kalmbach=True)
     entries = {name: v for name, v, _ in report.entries}
     assert entries["katoms"] and entries["kblocks"] and entries["kcommute"]
+
+
+def test_check_kalmbach_builds_no_dense_k_tables(corpus, monkeypatch):
+    # the only table-backed lattice on the check --kalmbach path is the base:
+    # the K checks answer through K's own queries
+    calls, from_leq = [], BoundedLattice.from_leq
+
+    def counted(cls, names, leq, **kwargs):
+        calls.append(len(names))
+        return from_leq(names, leq, **kwargs)
+
+    monkeypatch.setattr(BoundedLattice, "from_leq", classmethod(counted))
+    for nm, L in corpus.items():
+        doc = parse_lattice(_doc_text(L))
+        report = run_checks(doc, with_kalmbach=True)
+        assert calls == [L.n], nm
+        assert ("kblocks", True, ()) in report.entries, nm
+        calls.clear()
 
 
 def test_report_deterministic():

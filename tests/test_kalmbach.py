@@ -15,12 +15,14 @@ from omlkit.errors import NotOML, TooLarge
 from omlkit.kalmbach import (
     DEFAULT_K_CAP,
     KalmbachOML,
+    MAX_DENSE_SIZE,
     OrderCheck,
     _even_chains,
     _kleq_tables,
     _unpack,
     kalmbach,
     katoms_check,
+    kblocks,
     kblocks_check,
     kcommute_check,
     kjoin_by_truncation,
@@ -36,6 +38,7 @@ from omlkit.latfile import document_from_lattice
 from omlkit.corpus import boolean_cube
 from omlkit.ortho import (
     _interval_height,
+    blocks,
     commutation_matrix,
     is_orthomodular,
     ortholattice,
@@ -269,10 +272,16 @@ def test_subchain_join_embedding():
 def test_blocks_are_chain_algebras():
     K = kalmbach(diamond(2))
     OL = K.as_ortholattice()
-    from omlkit.ortho import blocks
-
     bl = blocks(OL)
     assert len(bl) == len(K.max_chains) == 2
+
+
+def test_k_blocks_match_the_dense_blocks(kalmbach_corpus):
+    # the blocks found from K's queries against those of the table-backed
+    # OrthoLattice, kept as an independent reference
+    for nm, K in kalmbach_corpus.items():
+        got = {frozenset(K.names[i] for i in b) for b in kblocks(K)}
+        assert got == {b.elements for b in blocks(K.as_ortholattice())}, nm
 
 
 def test_size_cap_enforced():
@@ -300,6 +309,23 @@ def test_table_limit_raises_before_allocating():
     assert "1490432" in str(exc.value)
     assert str(DEFAULT_K_CAP) in str(exc.value)
     assert peak < 256 << 20
+
+
+@pytest.mark.parametrize("check", [kblocks_check, kcommute_check])
+def test_dense_checks_raise_before_allocating(rn3, check):
+    # K(rn 3) has 3,584 elements; its n x n tables or pair arrays would take
+    # over 50 MB, and the checks refuse before building any
+    K = rn3[1]
+    assert K.n > MAX_DENSE_SIZE
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as exc:
+            check(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "3584" in str(exc.value) and str(MAX_DENSE_SIZE) in str(exc.value)
+    assert peak < 4 << 20
 
 
 def test_leq_idx_matches_scalar_definition(corpus, kalmbach_corpus):
@@ -800,3 +826,22 @@ def test_kcommute_check_can_fail(kalmbach_corpus):
     with pytest.raises(AssertionError,
                        match="upper-bound set has no least element"):
         kcommute_check(_swapped(K, a, b))
+
+
+def test_kblocks_check_can_fail(kalmbach_corpus):
+    K = kalmbach_corpus["2^3"]
+    assert kblocks_check(K) is True
+    # one maximal chain of the base fewer: a block has no chain
+    short = copy.copy(K)
+    short.max_chains = K.max_chains[1:]
+    assert kblocks_check(short) is False
+    # a swapped perp breaks the joins of the commutation test
+    a, b = K.atoms_idx()[:2]
+    with pytest.raises(AssertionError,
+                       match="upper-bound set has no least element"):
+        kblocks_check(_swapped(K, a, b))
+    # blocks are only searched in an orthomodular K
+    not_om = copy.copy(K)
+    not_om.orthomodular = False
+    with pytest.raises(NotOML):
+        kblocks_check(not_om)

@@ -192,6 +192,28 @@ def test_boolean_candidate_rejections():
             cube, ["000", "111", "100", "011", "010", "101"]))
 
 
+def test_verifier_gives_the_same_errors_from_tables_and_k_queries(
+        kalmbach_corpus):
+    # K(M2) is MO2; its OrthoLattice keeps K's ids, so one candidate is fed
+    # once from table slices and once from K's batch queries
+    K = kalmbach_corpus["M2"]
+    OL = K.as_ortholattice()
+    assert find_isomorphism(OL.lattice, mo(2).lattice, OL.perp, mo(2).perp)
+    atom = K.atoms_idx()[0]
+    for members, message in (
+            ([i for i in range(K.n) if i != K.top], "misses a bound"),
+            ([K.bottom, K.top, atom], "not closed under perp"),
+            (range(K.n), "not distributive")):
+        errors = []
+        for Q in (OL, K):
+            with pytest.raises(AssertionError, match=message) as exc:
+                _verify_boolean_subalgebra(Q, members)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+    for Q in (OL, K):
+        _verify_boolean_subalgebra(Q, [K.bottom, K.top, atom, K.perp(atom)])
+
+
 def test_center_and_irreducibility():
     cube = boolean_oml(3)
     assert center(cube) == set(cube.names)
