@@ -10,13 +10,19 @@ of covers from x_2i to x_2i+1 has consecutive covers sharing an element,
 and the intervals of y are pairwise disjoint, so if every cover lies in
 some interval of y, they all lie in one.  So distinct elements have
 distinct signatures, a meet is the element whose signature is A_x & A_y,
-and a join is (x' ^ y')'.  Signatures are built from the definition (see
-``kalmbach``) and their inclusion is checked against the definition read
-from L and the sequences alone: x <= y iff the intervals of x all lie among
-the intervals inside some interval of y (``_kleq_tables``).  The check is
+and a join is (x' ^ y')'.  Signatures are built from the definition, one row
+per interval of L holding the covers inside it (``_signatures``), and
+their inclusion is checked against the definition read from L and the
+sequences alone: x <= y iff the intervals of x all lie among the intervals
+inside some interval of y (``_kleq_tables``).  The check is
 exact at every size: one test per (interval of L, element) and one union
 per element, not one test per pair.  ``KalmbachOML.order_check`` records
 the tests and how many were comparable.
+
+K keeps each element as its padded terms and its term mask, with no
+per-element Python objects: a name is built when it is read, and
+``KalmbachOML.index`` parses a name back to a mask and finds it by one
+sorted search.
 
 In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach, *Orthomodular
 Lattices*, 1983), so ``interval_heights`` reads interval heights from one
@@ -25,6 +31,7 @@ per-element table of the heights of [0, z].
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,12 +50,13 @@ MAX_DENSE_SIZE = 2048
 # The order check handles at most this many bytes per step, so the step's
 # temporaries stay in a core's cache.
 _BLOCK_BYTES = 1 << 19
+_WORD = (1 << 64) - 1
 _UPPER = "upper-bound set has no least element"
 _LOWER = "lower-bound set has no greatest element"
 
 
 def seq_name(base, terms):
-    return "(" + ",".join(base.names[t] for t in terms) + ")"
+    return "(" + ",".join(map(base.names.__getitem__, terms)) + ")"
 
 
 def kleq_terms(leq, x, y):
@@ -95,13 +103,14 @@ def _even_chains(L):
 
     Returns the padded (n, 2p) terms, each chain bottom to top and padded
     with (top, bottom), which lies inside every interval and contains only
-    itself; and the (n, w) little-endian uint64 term masks, bit e of a row
-    in word e // 64 set when e is a term, w = ceil(L.n / 64).  The chains
+    itself, in the smallest unsigned dtype that holds L.n; and the (n, w)
+    little-endian uint64 term masks, bit e of a row in word e // 64 set
+    when e is a term, w = ceil(L.n / 64).  The chains
     grow one level at a time in the ranks of L's linear extension, with
     their masks: each is extended by every rank strictly above its last,
     read from a CSR of the strict up-sets, and the even levels are kept.
     """
-    ext = np.array(L.linear_extension())
+    ext = np.array(L.linear_extension(), dtype=np.min_scalar_type(L.n))
     up = L.leq[ext[:, None], ext] & ~np.eye(L.n, dtype=bool)
     counts_of = up.sum(axis=1)
     starts = np.cumsum(counts_of) - counts_of
@@ -126,8 +135,16 @@ def _even_chains(L):
         for c, _ in levels])
     order = np.lexsort(ranks.T[::-1])
     ranks, masks = ranks[order], np.concatenate([m for _, m in levels])[order]
-    terms = np.where(ranks < 0, np.tile([L.top, L.bottom], p), ext[ranks])
+    pad = np.tile(np.array([L.top, L.bottom], dtype=ext.dtype), p)
+    terms = np.where(ranks < 0, pad, ext[ranks])
     return terms, masks
+
+
+def _chain(row, top, bottom):
+    """The terms of a padded ``_even_chains`` row, given as a list."""
+    while row[-2:] == [top, bottom]:
+        del row[-2:]
+    return row
 
 
 def _pack(bits):
@@ -156,9 +173,9 @@ def _keys(sig):
 
 def _mask(n, elements):
     """The (1, w) words of ``_pack`` with the bits of ``elements`` set."""
-    bits = np.zeros((1, n), dtype=bool)
-    bits[0, list(elements)] = True
-    return _pack(bits)
+    bits = sum(1 << int(e) for e in set(elements))
+    words = [(bits >> (64 * k)) & _WORD for k in range(max(1, -(-n // 64)))]
+    return np.array([words], dtype="<u8")
 
 
 def _sort_index(sig):
@@ -179,15 +196,40 @@ def _search(index, sig, message):
     return ids[pos]
 
 
+def _intervals(L):
+    """(a, b, number): the intervals of L, the pairs a < b in row-major
+    order and then the padding (top, bottom), which lies inside every
+    interval and contains only itself; and the (L.n, L.n) table giving the
+    position of each in that list."""
+    a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
+    a, b = np.append(a, L.top), np.append(b, L.bottom)
+    number = np.zeros((L.n, L.n), dtype=np.intp)
+    number[a, b] = np.arange(len(a))
+    return a, b, number
+
+
 def _signatures(L, lo, hi):
     """The signatures of the elements with the interval ends lo, hi of the
     ``_even_chains`` terms, one bit per cover (c, d) of L: bit k of row x
-    says that [c, d] lies inside some interval [x_2i, x_2i+1]."""
-    covers = np.argwhere(L.cover_matrix)
-    inside = np.zeros((len(lo), len(covers)), dtype=bool)
-    for k, (c, d) in enumerate(covers):
-        inside[:, k] = (L.leq[lo, c] & L.leq[d, hi]).any(axis=1)
-    return _pack(inside)
+    says that [c, d] lies inside some interval [x_2i, x_2i+1].
+
+    One table has a row per interval [a, b] of L (``_intervals``), the
+    covers with a <= c and d <= b; the padding holds none.  Row x is the OR
+    of the rows of its p intervals.  The table is built 8 * ceil(D / 64) of
+    its D rows at a time, so each step's (rows, covers) bools, like the
+    table itself, take fewer bytes than the D * ceil(D / 64) words of
+    ``_kleq_tables``' containment table: L has fewer covers than intervals.
+    """
+    a, b, number = _intervals(L)
+    c, d = np.nonzero(L.cover_matrix)
+    step = 8 * -(-len(a) // 64)
+    table = np.concatenate([
+        _pack(L.leq[a[s:s + step, None], c] & L.leq[d, b[s:s + step, None]])
+        for s in range(0, len(a), step)])
+    sig = table[number[lo[:, 0], hi[:, 0]]]
+    for j in range(1, lo.shape[1]):
+        sig |= table[number[lo[:, j], hi[:, j]]]
+    return sig
 
 
 def _kleq_tables(L, lo, hi):
@@ -195,18 +237,15 @@ def _kleq_tables(L, lo, hi):
     every number in ivals[x] is a bit of inside[y], built from the order of L
     and the interval ends lo, hi of the ``_even_chains`` terms alone.
 
-    The intervals of L are numbered: the pairs a < b in row-major order, then
-    the padding (top, bottom), which lies inside every interval and contains
-    only itself.  ivals is the (n, p) array of the numbers of the padded
-    intervals of each element.  inside is an (n, w) little-endian uint64
-    bitset over the numbers: inside[y] is the set of intervals that lie
-    inside some interval of y, the union, over the intervals c of y, of
-    held[c] = {d : d inside c}, filled one interval column at a time.
+    The intervals of L are numbered by ``_intervals``: the pairs a < b in
+    row-major order, then the padding (top, bottom).  ivals is the (n, p)
+    array of the numbers of the padded intervals of each element.  inside
+    is an (n, w) little-endian uint64 bitset over the numbers: inside[y] is
+    the set of intervals that lie inside some interval of y, the union, over
+    the intervals c of y, of held[c] = {d : d inside c}, filled one interval
+    column at a time.
     """
-    a, b = np.nonzero(L.leq & ~np.eye(L.n, dtype=bool))
-    a, b = np.append(a, L.top), np.append(b, L.bottom)
-    number = np.zeros((L.n, L.n), dtype=np.int64)
-    number[a, b] = np.arange(len(a))
+    a, b, number = _intervals(L)
     held = _pack(L.leq[a[:, None], a] & L.leq[b, b[:, None]])
     ivals = number[lo, hi]
     inside = np.zeros((len(lo), held.shape[1]), dtype=held.dtype)
@@ -233,6 +272,32 @@ class OrderCheck(NamedTuple):
     comparable: int
 
 
+class _Names(Sequence):
+    """The names of K's elements in id order, each built when it is read.
+
+    It holds the base and the padded terms only, not K, so it makes no
+    reference cycle with K.
+    """
+
+    __slots__ = ("_base", "_terms")
+
+    def __init__(self, base, terms):
+        self._base, self._terms = base, terms
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __getitem__(self, i):
+        row = self._terms[i].tolist()
+        return seq_name(self._base, _chain(row, self._base.top,
+                                           self._base.bottom))
+
+    def __iter__(self):
+        base = self._base
+        for row in self._terms.tolist():
+            yield seq_name(base, _chain(row, base.top, base.bottom))
+
+
 class KalmbachOML:
     """K(L) with its order, join, meet and orthocomplement read from atom
     signatures.
@@ -242,21 +307,29 @@ class KalmbachOML:
     compactness_witness work on it directly.  ``signatures`` is the (n, w)
     little-endian uint64 array of the element signatures, bit k of row x set
     when the k-th atom lies below x; assigning it rebuilds the sorted
-    lookup that meets and joins go through.  ``masks`` holds the term masks
-    of ``_even_chains``, bit e of row x set when e is a term of x.
+    lookup that meets and joins go through.  The elements are the rows of
+    ``terms`` and ``masks``, the padded terms and the term masks of
+    ``_even_chains`` (bit e of row x set when e is a term of x); K keeps no
+    per-element Python object.  ``names`` is a sequence that builds each
+    name when read, ``seqs`` the term tuples, built on first use, and
+    ``index`` finds a name by the mask of its terms in the sorted masks,
+    the index that perp, ``bottom`` and ``top`` are found by.
     """
 
-    def __init__(self, base, seqs, masks, signatures, perp_idx, max_chains):
+    def __init__(self, base, terms, masks, signatures, max_chains):
         self.base = base
-        self.seqs = seqs
+        self.terms = terms
         self.masks = masks
-        self.names = tuple(seq_name(base, s) for s in seqs)
-        self._index = {nm: i for i, nm in enumerate(self.names)}
+        self.names = _Names(base, terms)
         self.signatures = signatures
-        self.perp_idx = perp_idx
+        self._mask_index = _sort_index(masks)
+        bounds = _mask(base.n, (base.bottom, base.top))
+        self.perp_idx = _search(self._mask_index, masks ^ bounds,
+                                "a sequence has no orthocomplement")
+        self.bottom, self.top = _search(
+            self._mask_index, np.concatenate((_mask(base.n, ()), bounds)),
+            "K has no bound").tolist()
         self.max_chains = max_chains  # base maximal chains as index tuples
-        self.bottom = self._index["()"]
-        self.top = self._index[seq_name(base, (base.bottom, base.top))]
         self.order_check = None       # an OrderCheck, set by kalmbach
         self.orthomodular = None      # set by check_orthomodular
         self.orthomodular_witness = None
@@ -269,19 +342,90 @@ class KalmbachOML:
     def signatures(self, sig):
         self._signatures = sig
         self._sig_index = _sort_index(sig)
+        self._forget()
+
+    @property
+    def perp_idx(self):
+        return self._perp_idx
+
+    @perp_idx.setter
+    def perp_idx(self, perp):
+        self._perp_idx = perp
+        self._forget()
+
+    def _forget(self):
+        """Drop the tables that signatures and perp determine."""
         self.__dict__.pop("_heights", None)
+        self.__dict__.pop("_commutes", None)
 
     # -- protocol -------------------------------------------------------
 
     @property
     def n(self):
-        return len(self.seqs)
+        return len(self.signatures)
+
+    @cached_property
+    def seqs(self):
+        """The terms of every element as index tuples, built on first use."""
+        base = self.base
+        return tuple(tuple(_chain(row, base.top, base.bottom))
+                     for row in self.terms.tolist())
 
     def index(self, name):
-        return self._index[name]
+        """The id of the element named ``name``.
+
+        The name is parsed to its terms, whose mask is found by one search
+        over the sorted masks.  Raises KeyError when a term is no base name
+        (a base name holding a comma is not parsed), when the terms are no
+        element, or when they are one but ``names`` spells it otherwise, as
+        for terms out of order.
+        """
+        base = self.base
+        if name[:1] != "(" or name[-1:] != ")":
+            raise KeyError(name)
+        inner = name[1:-1]
+        try:
+            terms = [base.index(t) for t in inner.split(",")] if inner else []
+            i = int(_search(self._mask_index, _mask(base.n, terms),
+                            "no element has these terms")[0])
+        except (KeyError, AssertionError):
+            raise KeyError(name) from None
+        if self.names[i] != name:
+            raise KeyError(name)
+        return i
 
     def seq_names(self, i):
-        return tuple(self.base.names[t] for t in self.seqs[i])
+        row = self.terms[i].tolist()
+        return tuple(self.base.names[t]
+                     for t in _chain(row, self.base.top, self.base.bottom))
+
+    def least_named(self, xs):
+        """The id among the distinct ids xs whose name is least.
+
+        A name is "(" and then, for each term, its base name followed by ","
+        or, after the last term, by ")"; the empty chain is "()".  When no
+        base name holds "," or ")", none of these tokens is a proper prefix
+        of another, so names compare as their token sequences: each step
+        keeps the ids with the least token at the next position, and no name
+        is built.  Otherwise the names are built and compared.
+        """
+        base = self.base
+        if any("," in nm or ")" in nm for nm in base.names):
+            return min(np.asarray(xs).tolist(), key=self.names.__getitem__)
+        tokens = ([nm + "," for nm in base.names]
+                  + [nm + ")" for nm in base.names] + [")"])
+        rank = np.unique(tokens, return_inverse=True)[1]
+        xs, terms = np.asarray(xs), self.terms[xs]
+        pads = (terms[:, 0::2] == base.top) & (terms[:, 1::2] == base.bottom)
+        lengths = terms.shape[1] - 2 * pads.sum(axis=1)
+        for j in range(terms.shape[1]):
+            if len(xs) == 1:
+                break
+            last = j + 1 == lengths
+            at = np.where(j < lengths, terms[:, j] + base.n * last, 2 * base.n)
+            keep = rank[at] == rank[at].min()
+            xs, terms, lengths = xs[keep], terms[keep], lengths[keep]
+        return int(xs[0])
 
     def leq_batch(self, xs, ys):
         """Whether x <= y, A_x inside A_y, over broadcast id arrays xs, ys."""
@@ -355,6 +499,12 @@ class KalmbachOML:
             raise NotOML("interval heights need an orthomodular K")
         z = self.perp_idx[self.join_batch(self.perp_idx[ys], xs)]
         return self._heights[z]
+
+    @cached_property
+    def _commutes(self):
+        """Whether x and y commute over the upper triangle of the ids, with
+        its diagonal, in ``np.triu_indices`` order; built on first use."""
+        return self.commutes_idx(*np.triu_indices(self.n))
 
     def commutes_idx(self, xs, ys):
         """Whether x and y commute, over broadcast id arrays xs and ys.
@@ -510,13 +660,15 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
     """Construct K(L) for a finite bounded lattice L.
 
     Raises TooLarge, before enumerating anything, when the even-length-chain
-    count exceeds ``cap``.  One ``_even_chains`` call gives ``seqs``, the
+    count exceeds ``cap``.  One ``_even_chains`` call gives ``K.terms``, the
     interval ends and ``K.masks``; x' is found by one sorted search for the
-    mask of x XOR {bottom, top}.  The signatures are built from the
-    definition: bit k of x says that the k-th cover of L lies inside an
-    interval of x.  They are checked distinct, and their inclusion is
-    checked against the definition on all pairs, by one test per (interval
-    of L, element) and the union identity of
+    mask of x XOR {bottom, top}.  No name or term tuple is built: names are
+    built when read.  The signatures are built from the definition, one
+    table row per interval of L holding the covers inside it, OR-ed over the
+    intervals of each x: bit k of x says that the k-th cover of L lies
+    inside an interval of x.  They are checked distinct, and their
+    inclusion is checked against the definition on all pairs, by one test
+    per (interval of L, element) and the union identity of
     ``check_order_against_definition``; ``K.order_check`` keeps the
     ``OrderCheck`` record.  The orthomodular law is then checked
     exhaustively by ``check_orthomodular``, one pass over (element, atom)
@@ -531,17 +683,10 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
             f"K(L) has {n} elements, over the configured cap of {cap} elements"
         )
     terms, masks = _even_chains(L)
-    bounds = _mask(L.n, (L.bottom, L.top))
-    perp_idx = _search(_sort_index(masks), masks ^ bounds,
-                       "a sequence has no orthocomplement")
-    lengths = np.bitwise_count(masks).sum(axis=1).tolist()
-    seqs = tuple(tuple(t[:k]) for t, k in zip(terms.tolist(), lengths))
     max_chains = tuple(tuple(L.index(nm) for nm in C) for C in maximal_chains(L))
     lo, hi = terms[:, 0::2], terms[:, 1::2]
-    sig = _signatures(L, lo, hi)
-    K = KalmbachOML(L, seqs, masks, sig, perp_idx, max_chains)
+    K = KalmbachOML(L, terms, masks, _signatures(L, lo, hi), max_chains)
     K.order_check = K.check_order_against_definition(lo, hi)
-    del terms, lo, hi  # freed before the orthomodular check builds its tables
     K.check_orthomodular()
     return K
 
@@ -550,10 +695,15 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
 
 
 def katoms_check(K):
-    """Atoms of K(L) are exactly the two-term sequences over covers of L."""
-    covers = np.argwhere(K.base.cover_matrix)
-    expected = {K.index(seq_name(K.base, (int(a), int(b)))) for a, b in covers}
-    return set(K.atoms_idx()) == expected
+    """Atoms of K(L) are exactly the two-term sequences over covers of L,
+    found by one search of the masks of the covers over K's masks."""
+    L = K.base
+    c, d = np.nonzero(L.cover_matrix)
+    bits = np.zeros((len(c), L.n), dtype=bool)
+    bits[np.arange(len(c)), c] = bits[np.arange(len(c)), d] = True
+    expected = _search(K._mask_index, _pack(bits),
+                       "a cover of L is no element of K")
+    return set(K.atoms_idx()) == set(expected.tolist())
 
 
 def _check_dense(K, work):
@@ -566,10 +716,11 @@ def _check_dense(K, work):
 
 def _commuting_pairs(K, work):
     """The id pairs (x, y) with x <= y as numbers, the upper triangle with
-    its diagonal, and whether each pair commutes, as three arrays."""
+    its diagonal, and whether each pair commutes, as three arrays.  The
+    commutation is evaluated once per K, signatures and perp."""
     _check_dense(K, work)
     xs, ys = np.triu_indices(K.n)
-    return xs, ys, K.commutes_idx(xs, ys)
+    return xs, ys, K._commutes
 
 
 def kblocks(K):

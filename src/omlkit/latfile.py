@@ -129,35 +129,39 @@ def document_from_lattice(L, perp=None, metadata=()):
     """Build a document from a lattice-protocol object.
 
     ``L`` needs names, cover information and (optionally) a perp; works for
-    BoundedLattice, OrthoLattice and KalmbachOML.
+    BoundedLattice, OrthoLattice and KalmbachOML, whose names are built
+    here once each.
     """
     if hasattr(L, "lattice"):      # OrthoLattice carries its own perp
         if perp is None:
             perp = L.perp_map()
         L = L.lattice
+    names = tuple(L.names)
     if hasattr(L, "cover_matrix"):
         covers = tuple(
-            (L.names[int(a)], L.names[int(b)])
+            (names[int(a)], names[int(b)])
             for a, b in np.argwhere(L.cover_matrix)
         )
     else:                           # KalmbachOML
-        covers = _covers_from_protocol(L)
+        covers = _covers_from_protocol(L, names)
         if perp is None:
-            perp = {L.names[i]: L.names[L.perp(i)] for i in range(L.n)}
+            perp = dict(zip(names, map(names.__getitem__,
+                                       L.perp_idx.tolist())))
     covers = tuple(sorted(covers))
     perp_field = (
-        tuple((nm, perp[nm]) for nm in L.names) if perp is not None else None
+        tuple((nm, perp[nm]) for nm in names) if perp is not None else None
     )
-    return LatticeDocument(tuple(L.names), covers, perp_field, tuple(metadata))
+    return LatticeDocument(names, covers, perp_field, tuple(metadata))
 
 
-def _covers_from_protocol(K):
+def _covers_from_protocol(K, names):
     """The pairs (a, b) of an orthomodular K with [a, b] = {a, b}.
 
     In an OML, a is covered by b iff p = b ^ a' is an atom; then b = a v p by
     the orthomodular law, and p is orthogonal to a, so (a v p) ^ a' = p.  So
     the covers are the (a, a v p) for each atom p and each a <= p', and each
-    occurs once.  Raises NotOML unless K has been found orthomodular.
+    occurs once; ``names`` are K's names in id order.  Raises NotOML unless
+    K has been found orthomodular.
     """
     if K.orthomodular is not True:
         raise NotOML("covers are read through atoms only in an orthomodular K")
@@ -167,7 +171,7 @@ def _covers_from_protocol(K):
     for p, below in zip(atoms, K.leq_batch(ids, K.perp_idx[atoms][:, None])):
         a = ids[below]
         b = K.join_batch(a, p)
-        out += [(K.names[x], K.names[y]) for x, y in zip(a, b)]
+        out += [(names[x], names[y]) for x, y in zip(a.tolist(), b.tolist())]
     return out
 
 

@@ -112,7 +112,7 @@ class AtomClassification:
 
 
 def _atom_edge(K, i):
-    a, b = K.seqs[i]
+    a, b = K.terms[i, :2].tolist()
     return _grid_pos(K.base.names[a]), _grid_pos(K.base.names[b])
 
 
@@ -181,21 +181,15 @@ def covering_report(K):
     Lattices*, 1983); so K must have been found orthomodular.  Each law is
     evaluated unrestricted and with intervals whose top touches the
     artificial top element excluded ("truncated").  Witnesses are (atom
-    name, x name) pairs, least among those found.  The x above the atom a
-    are skipped: there a v x = x, so neither law can fail.
+    name, x name) pairs, least among those found: the atoms are swept in
+    name order, and the witness of a law is the first atom with a failure
+    and the least name among its failing x (``K.least_named``).
+    The x above the atom a are skipped: there a v x = x, so neither law can
+    fail.
     """
     touches_top = ~K.within(set(range(K.base.n)) - {K.base.top})
-    by_name = sorted(range(K.n), key=K.names.__getitem__)
-    name_rank = np.empty(K.n, dtype=np.int64)
-    name_rank[by_name] = np.arange(K.n)
-    least = {}  # law -> least name_rank[atom] * n + name_rank[x] found
-
-    def note(key, a, xs, hit):
-        if hit.any():
-            found = int((name_rank[a] * K.n + name_rank[xs])[hit].min())
-            least[key] = min(least.get(key, found), found)
-
-    atoms = np.array(K.atoms_idx())
+    first = {}  # law -> (least-named atom with a failure, its failing x)
+    atoms = np.array(sorted(K.atoms_idx(), key=K.names.__getitem__))
     ids = np.arange(K.n)
     above = K.leq_batch(atoms[:, None], ids)
     for a, x_above in zip(atoms, above):
@@ -204,16 +198,19 @@ def covering_report(K):
         heights = K.interval_heights(xs, js)
         for law in (1, 2):
             fails = heights > law
-            note(f"covering{law}", a, xs, fails)
-            note(f"covering{law}_truncated", a, xs, fails & ~touches_top[js])
+            for key, hit in ((f"covering{law}", fails),
+                             (f"covering{law}_truncated",
+                              fails & ~touches_top[js])):
+                if key not in first and hit.any():
+                    first[key] = a, xs[hit]
 
     result = {}
     for key in ("covering1", "covering1_truncated",
                 "covering2", "covering2_truncated"):
-        best = least.get(key)
-        result[key] = best is None
-        result[key + "_witness"] = None if best is None else (
-            K.names[by_name[best // K.n]], K.names[by_name[best % K.n]])
+        hit = first.get(key)
+        result[key] = hit is None
+        result[key + "_witness"] = None if hit is None else (
+            K.names[hit[0]], K.names[K.least_named(hit[1])])
     return result
 
 

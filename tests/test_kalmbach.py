@@ -19,6 +19,7 @@ from omlkit.kalmbach import (
     OrderCheck,
     _even_chains,
     _kleq_tables,
+    _signatures,
     _unpack,
     kalmbach,
     katoms_check,
@@ -43,7 +44,7 @@ from omlkit.ortho import (
     is_orthomodular,
     ortholattice,
 )
-from omlkit.rn import covering_report, rn_lattice
+from omlkit.rn import covering_report, rn_lattice, rn_report
 
 # the package re-exports the function kalmbach under the module's name
 KALMBACH_MODULE = importlib.import_module("omlkit.kalmbach")
@@ -96,6 +97,30 @@ def test_even_chains_match_a_brute_force_enumeration(corpus):
             assert row == [*chain_, *pad], nm
             assert np.flatnonzero(mask).tolist() == sorted(chain_), nm
     assert masks.shape == (142, 2)
+
+
+def _reference_signatures(L, lo, hi):
+    """One pass over the elements per cover (c, d) of L: bit k of row x is
+    set when [c, d] lies inside some interval [x_2i, x_2i+1]."""
+    covers = np.argwhere(L.cover_matrix)
+    inside = np.zeros((len(lo), 64 * -(-len(covers) // 64)), dtype=bool)
+    for k, (c, d) in enumerate(covers):
+        inside[:, k] = (L.leq[lo, c] & L.leq[d, hi]).any(axis=1)
+    return np.packbits(inside, axis=1, bitorder="little").view("<u8")
+
+
+def test_table_signatures_match_a_per_cover_loop(corpus):
+    # every corpus base, rn 2 to 4, and M_70, whose 140 covers take three
+    # signature words
+    bases = {**corpus, **{f"rn{r}": rn_lattice(r) for r in (2, 3, 4)},
+             "M70": diamond(70)}
+    for nm, L in bases.items():
+        terms = _even_chains(L)[0]
+        lo, hi = terms[:, 0::2], terms[:, 1::2]
+        got = _signatures(L, lo, hi)
+        assert got.dtype == np.dtype("<u8"), nm
+        assert np.array_equal(got, _reference_signatures(L, lo, hi)), nm
+    assert int(L.cover_matrix.sum()) == 140 and got.shape == (142, 3)
 
 
 def test_k_of_c4_is_cube():
@@ -154,8 +179,8 @@ def test_order_matches_definition(kalmbach_corpus):
 
 
 def test_interval_terms_are_built_once_per_k(monkeypatch):
-    # one enumeration of the chains gives the sequences, the interval ends,
-    # the masks and perp; kcommute_check enumerates nothing again
+    # one enumeration of the chains gives the terms, the interval ends, the
+    # masks and perp; kcommute_check enumerates nothing again
     calls, even_chains = [], KALMBACH_MODULE._even_chains
 
     def counted(L):
@@ -225,6 +250,104 @@ def test_atoms_are_covers():
         if L.cover_matrix[a, b]
     }
     assert atom_names == expected
+
+
+def test_index_inverts_the_names(kalmbach_corpus):
+    # every id of every corpus K, of K(rn 2) and of K(M_70), whose masks
+    # take two words
+    Ks = {**kalmbach_corpus, "rn2": kalmbach(rn_lattice(2)),
+          "M70": kalmbach(diamond(70))}
+    for nm, K in Ks.items():
+        names = list(K.names)
+        assert len(set(names)) == len(names) == K.n, nm
+        assert [K.names[i] for i in range(K.n)] == names, nm
+        assert [K.index(x) for x in names] == list(range(K.n)), nm
+        assert names[K.bottom] == "()", nm
+        assert names[K.top] == seq_name(K.base, (K.base.bottom, K.base.top))
+
+
+def test_index_rejects_what_names_no_element(rn3):
+    _, K = rn3
+    assert K.names[K.index("(a11,a12)")] == "(a11,a12)"
+    for name in ("(a11,a99)",           # a99 is no base name
+                 "(a12,a11)",           # the terms of (a11,a12), reversed
+                 "(a03,a10)",           # a03 and a10 are incomparable
+                 "(a11,a12,a13)",       # a chain of odd length
+                 "(a11,a11)",           # a repeated term
+                 "(a11,a12", "a11,a12", ""):
+        with pytest.raises(KeyError):
+            K.index(name)
+
+
+def test_least_named_matches_the_least_built_name(kalmbach_corpus):
+    # random id sets of every corpus K and of K(rn 2); base names where one
+    # is a prefix of another, "a!" sorting before the separator of "a";
+    # and base names holding "," or ")", which are compared as built names
+    rng = random.Random(0)
+    trap = lattice_from_covers(
+        ["0", "a", "a!", "a1", "b", "1"],
+        [("0", "a"), ("0", "a!"), ("a", "a1"), ("a!", "a1"), ("0", "b"),
+         ("a1", "1"), ("b", "1")])
+    odd = lattice_from_covers(["0", "x", "z", "x,a", "w)", "1"],
+                              [("0", "x"), ("x", "z"), ("z", "1"),
+                               ("0", "x,a"), ("x,a", "w)"), ("w)", "1")])
+    Ks = {**kalmbach_corpus, "rn2": kalmbach(rn_lattice(2)),
+          "trap": kalmbach(trap), "odd": kalmbach(odd)}
+    for nm, K in Ks.items():
+        for size in (1, 2, 3, K.n // 2, K.n):
+            for _ in range(5):
+                xs = rng.sample(range(K.n), min(size, K.n))
+                want = min(xs, key=K.names.__getitem__)
+                assert K.least_named(np.array(xs)) == want, (nm, xs)
+    K = Ks["trap"]
+    assert K.least_named([K.index("(0,a)"), K.index("(0,a!)")]) == \
+        K.index("(0,a!)")
+    # the token "x," of (x,z) is a prefix of the token "x,a," of (x,a,w)),
+    # whose name is the lesser
+    K = Ks["odd"]
+    xz = K.names.index("(x,z)")
+    xaw = K.names.index("(x,a,w))")
+    assert K.least_named([xz, xaw]) == xaw
+
+
+def test_rn_report_names_few_elements_and_builds_no_tuples(monkeypatch):
+    # names are built where the report prints or compares them: under half
+    # of K(rn 3)'s 3,584 elements; the term tuples are never built
+    calls = []
+
+    def counted(base, terms):
+        calls.append(terms)
+        return seq_name(base, terms)
+
+    def untouched(K):
+        raise AssertionError("K.seqs was read")
+
+    monkeypatch.setattr(KALMBACH_MODULE, "seq_name", counted)
+    monkeypatch.setattr(KalmbachOML, "seqs", property(untouched))
+    report = rn_report(3)
+    assert report["k_size"] == 3584
+    assert 0 < len(calls) < report["k_size"] // 2
+
+
+def test_commutation_is_evaluated_once_per_k(corpus, monkeypatch):
+    # kblocks_check and kcommute_check share one evaluation over the pairs;
+    # a new perp or new signatures evaluate it again
+    calls, commutes_idx = [], KalmbachOML.commutes_idx
+
+    def counted(K, xs, ys):
+        calls.append(np.size(xs))
+        return commutes_idx(K, xs, ys)
+
+    monkeypatch.setattr(KalmbachOML, "commutes_idx", counted)
+    K = kalmbach(corpus["2^3"])
+    assert kblocks_check(K) and kcommute_check(K) and kblocks_check(K)
+    assert calls == [K.n * (K.n + 1) // 2]
+    again = copy.copy(K)
+    again.perp_idx = K.perp_idx.copy()
+    assert kcommute_check(again) and len(calls) == 2
+    again.signatures = K.signatures.copy()
+    assert kcommute_check(again) and len(calls) == 3
+    assert kcommute_check(K) and len(calls) == 3
 
 
 def test_commute_iff_union_chain(kalmbach_corpus):
