@@ -50,7 +50,6 @@ MAX_DENSE_SIZE = 2048
 # The order check handles at most this many bytes per step, so the step's
 # temporaries stay in a core's cache.
 _BLOCK_BYTES = 1 << 19
-_WORD = (1 << 64) - 1
 _UPPER = "upper-bound set has no least element"
 _LOWER = "lower-bound set has no greatest element"
 
@@ -140,11 +139,13 @@ def _even_chains(L):
     return terms, masks
 
 
-def _chain(row, top, bottom):
-    """The terms of a padded ``_even_chains`` row, given as a list."""
-    while row[-2:] == [top, bottom]:
+def _seq(base, terms, i):
+    """The terms of element i, row i of the padded ``_even_chains`` terms,
+    as a tuple without the (top, bottom) padding."""
+    row = terms[i].tolist()
+    while row[-2:] == [base.top, base.bottom]:
         del row[-2:]
-    return row
+    return tuple(row)
 
 
 def _pack(bits):
@@ -173,9 +174,9 @@ def _keys(sig):
 
 def _mask(n, elements):
     """The (1, w) words of ``_pack`` with the bits of ``elements`` set."""
-    bits = sum(1 << int(e) for e in set(elements))
-    words = [(bits >> (64 * k)) & _WORD for k in range(max(1, -(-n // 64)))]
-    return np.array([words], dtype="<u8")
+    bits = np.zeros((1, n), dtype=bool)
+    bits[0, list(elements)] = True
+    return _pack(bits)
 
 
 def _sort_index(sig):
@@ -288,14 +289,7 @@ class _Names(Sequence):
         return len(self._terms)
 
     def __getitem__(self, i):
-        row = self._terms[i].tolist()
-        return seq_name(self._base, _chain(row, self._base.top,
-                                           self._base.bottom))
-
-    def __iter__(self):
-        base = self._base
-        for row in self._terms.tolist():
-            yield seq_name(base, _chain(row, base.top, base.bottom))
+        return seq_name(self._base, _seq(self._base, self._terms, i))
 
 
 class KalmbachOML:
@@ -367,20 +361,24 @@ class KalmbachOML:
     @cached_property
     def seqs(self):
         """The terms of every element as index tuples, built on first use."""
-        base = self.base
-        return tuple(tuple(_chain(row, base.top, base.bottom))
-                     for row in self.terms.tolist())
+        return tuple(_seq(self.base, self.terms, i) for i in range(self.n))
 
     def index(self, name):
         """The id of the element named ``name``.
 
         The name is parsed to its terms, whose mask is found by one search
-        over the sorted masks.  Raises KeyError when a term is no base name
-        (a base name holding a comma is not parsed), when the terms are no
-        element, or when they are one but ``names`` spells it otherwise, as
-        for terms out of order.
+        over the sorted masks.  Raises KeyError when a term is no base name,
+        when the terms are no element, or when they are one but ``names``
+        spells it otherwise, as for terms out of order.  When a base name
+        holds a comma, the name cannot be split into terms and is looked up
+        in ``names`` one by one.
         """
         base = self.base
+        if any("," in nm for nm in base.names):
+            try:
+                return self.names.index(name)
+            except ValueError:
+                raise KeyError(name) from None
         if name[:1] != "(" or name[-1:] != ")":
             raise KeyError(name)
         inner = name[1:-1]
@@ -395,37 +393,8 @@ class KalmbachOML:
         return i
 
     def seq_names(self, i):
-        row = self.terms[i].tolist()
-        return tuple(self.base.names[t]
-                     for t in _chain(row, self.base.top, self.base.bottom))
-
-    def least_named(self, xs):
-        """The id among the distinct ids xs whose name is least.
-
-        A name is "(" and then, for each term, its base name followed by ","
-        or, after the last term, by ")"; the empty chain is "()".  When no
-        base name holds "," or ")", none of these tokens is a proper prefix
-        of another, so names compare as their token sequences: each step
-        keeps the ids with the least token at the next position, and no name
-        is built.  Otherwise the names are built and compared.
-        """
-        base = self.base
-        if any("," in nm or ")" in nm for nm in base.names):
-            return min(np.asarray(xs).tolist(), key=self.names.__getitem__)
-        tokens = ([nm + "," for nm in base.names]
-                  + [nm + ")" for nm in base.names] + [")"])
-        rank = np.unique(tokens, return_inverse=True)[1]
-        xs, terms = np.asarray(xs), self.terms[xs]
-        pads = (terms[:, 0::2] == base.top) & (terms[:, 1::2] == base.bottom)
-        lengths = terms.shape[1] - 2 * pads.sum(axis=1)
-        for j in range(terms.shape[1]):
-            if len(xs) == 1:
-                break
-            last = j + 1 == lengths
-            at = np.where(j < lengths, terms[:, j] + base.n * last, 2 * base.n)
-            keep = rank[at] == rank[at].min()
-            xs, terms, lengths = xs[keep], terms[keep], lengths[keep]
-        return int(xs[0])
+        return tuple(map(self.base.names.__getitem__,
+                         _seq(self.base, self.terms, i)))
 
     def leq_batch(self, xs, ys):
         """Whether x <= y, A_x inside A_y, over broadcast id arrays xs, ys."""
@@ -773,7 +742,7 @@ def kjoin_by_truncation(K, x_name, y_name):
     increasing in K, and returns its stabilized value.
     """
     xi, yi = K.index(x_name), K.index(y_name)
-    xs, ys = K.seqs[xi], K.seqs[yi]
+    xs, ys = _seq(K.base, K.terms, xi), _seq(K.base, K.terms, yi)
     steps = max(len(xs), len(ys)) // 2 + 1
     prev = None
     for m in range(1, steps + 1):

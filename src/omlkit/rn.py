@@ -183,9 +183,8 @@ def covering_report(K):
     artificial top element excluded ("truncated").  Witnesses are (atom
     name, x name) pairs, least among those found: the atoms are swept in
     name order, and the witness of a law is the first atom with a failure
-    and the least name among its failing x (``K.least_named``).
-    The x above the atom a are skipped: there a v x = x, so neither law can
-    fail.
+    and the least name among its failing x.  The x above the atom a are
+    skipped: there a v x = x, so neither law can fail.
     """
     touches_top = ~K.within(set(range(K.base.n)) - {K.base.top})
     first = {}  # law -> (least-named atom with a failure, its failing x)
@@ -210,7 +209,8 @@ def covering_report(K):
         hit = first.get(key)
         result[key] = hit is None
         result[key + "_witness"] = None if hit is None else (
-            K.names[hit[0]], K.names[K.least_named(hit[1])])
+            K.names[hit[0]],
+            K.names[min(hit[1].tolist(), key=K.names.__getitem__)])
     return result
 
 

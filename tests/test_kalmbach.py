@@ -253,10 +253,14 @@ def test_atoms_are_covers():
 
 
 def test_index_inverts_the_names(kalmbach_corpus):
-    # every id of every corpus K, of K(rn 2) and of K(M_70), whose masks
-    # take two words
+    # every id of every corpus K, of K(rn 2), of K(M_70), whose masks take
+    # two words, and of a K over base names holding "," and ")", whose
+    # names cannot be split into terms
+    odd = lattice_from_covers(["0", "x", "z", "x,a", "w)", "1"],
+                              [("0", "x"), ("x", "z"), ("z", "1"),
+                               ("0", "x,a"), ("x,a", "w)"), ("w)", "1")])
     Ks = {**kalmbach_corpus, "rn2": kalmbach(rn_lattice(2)),
-          "M70": kalmbach(diamond(70))}
+          "M70": kalmbach(diamond(70)), "odd": kalmbach(odd)}
     for nm, K in Ks.items():
         names = list(K.names)
         assert len(set(names)) == len(names) == K.n, nm
@@ -264,6 +268,8 @@ def test_index_inverts_the_names(kalmbach_corpus):
         assert [K.index(x) for x in names] == list(range(K.n)), nm
         assert names[K.bottom] == "()", nm
         assert names[K.top] == seq_name(K.base, (K.base.bottom, K.base.top))
+    with pytest.raises(KeyError):
+        Ks["odd"].index("(x,a)")        # x,a is one base name
 
 
 def test_index_rejects_what_names_no_element(rn3):
@@ -277,37 +283,6 @@ def test_index_rejects_what_names_no_element(rn3):
                  "(a11,a12", "a11,a12", ""):
         with pytest.raises(KeyError):
             K.index(name)
-
-
-def test_least_named_matches_the_least_built_name(kalmbach_corpus):
-    # random id sets of every corpus K and of K(rn 2); base names where one
-    # is a prefix of another, "a!" sorting before the separator of "a";
-    # and base names holding "," or ")", which are compared as built names
-    rng = random.Random(0)
-    trap = lattice_from_covers(
-        ["0", "a", "a!", "a1", "b", "1"],
-        [("0", "a"), ("0", "a!"), ("a", "a1"), ("a!", "a1"), ("0", "b"),
-         ("a1", "1"), ("b", "1")])
-    odd = lattice_from_covers(["0", "x", "z", "x,a", "w)", "1"],
-                              [("0", "x"), ("x", "z"), ("z", "1"),
-                               ("0", "x,a"), ("x,a", "w)"), ("w)", "1")])
-    Ks = {**kalmbach_corpus, "rn2": kalmbach(rn_lattice(2)),
-          "trap": kalmbach(trap), "odd": kalmbach(odd)}
-    for nm, K in Ks.items():
-        for size in (1, 2, 3, K.n // 2, K.n):
-            for _ in range(5):
-                xs = rng.sample(range(K.n), min(size, K.n))
-                want = min(xs, key=K.names.__getitem__)
-                assert K.least_named(np.array(xs)) == want, (nm, xs)
-    K = Ks["trap"]
-    assert K.least_named([K.index("(0,a)"), K.index("(0,a!)")]) == \
-        K.index("(0,a!)")
-    # the token "x," of (x,z) is a prefix of the token "x,a," of (x,a,w)),
-    # whose name is the lesser
-    K = Ks["odd"]
-    xz = K.names.index("(x,z)")
-    xaw = K.names.index("(x,a,w))")
-    assert K.least_named([xz, xaw]) == xaw
 
 
 def test_rn_report_names_few_elements_and_builds_no_tuples(monkeypatch):
