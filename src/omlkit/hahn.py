@@ -19,7 +19,7 @@ from .errors import DivisionByZero, ParseError
 class GammaExp:
     """A finitely supported integer sequence, compared reverse lexically."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, items=()):
         if isinstance(items, dict):
@@ -28,10 +28,23 @@ class GammaExp:
         for idx, val in items:
             acc[int(idx)] = acc.get(int(idx), 0) + int(val)
         self._items = tuple(sorted((i, v) for i, v in acc.items() if v))
+        self._hash = hash(self._items)
+
+    @classmethod
+    def _of(cls, items):
+        """Wrap an item tuple that is already canonical, hashing it once."""
+        out = cls.__new__(cls)
+        out._items = items
+        out._hash = hash(items)
+        return out
 
     @classmethod
     def delta(cls, n):
-        return cls([(n, 1)])
+        """The exponent with a single 1 at index n, one shared per index."""
+        try:
+            return _DELTAS[n]
+        except KeyError:
+            return _DELTAS.setdefault(n, cls([(n, 1)]))
 
     def __call__(self, idx):
         for i, v in self._items:
@@ -54,19 +67,13 @@ class GammaExp:
             return other
         if not b:
             return self
-        out = GammaExp.__new__(GammaExp)
-        out._items = _merge_items(a, b, 1)
-        return out
+        return GammaExp._of(_merge_items(a, b, 1))
 
     def __neg__(self):
-        out = GammaExp.__new__(GammaExp)
-        out._items = tuple((i, -v) for i, v in self._items)
-        return out
+        return GammaExp._of(tuple((i, -v) for i, v in self._items))
 
     def __sub__(self, other):
-        out = GammaExp.__new__(GammaExp)
-        out._items = _merge_items(self._items, other._items, -1)
-        return out
+        return GammaExp._of(_merge_items(self._items, other._items, -1))
 
     def __mul__(self, k):
         return GammaExp(tuple((i, k * v) for i, v in self._items))
@@ -93,7 +100,7 @@ class GammaExp:
         return False
 
     def __hash__(self):
-        return hash(self._items)
+        return self._hash
 
     def __bool__(self):
         return bool(self._items)
@@ -102,6 +109,9 @@ class GammaExp:
         if not self._items:
             return "(0)"
         return "(" + ",".join(f"{i}:{v}" for i, v in self._items) + ")"
+
+
+_DELTAS = {}  # index n -> GammaExp.delta(n)
 
 
 def _merge_items(a, b, sign):
@@ -483,7 +493,9 @@ def _cancel(num, den, lazy=True):
         g0 = next(iter(den._coeffs))
         q = den.coefficient(g0)
         if not g0 and q == 1:
-            return num, den
+            # the shared constant 1, so that callers can test "over 1" by
+            # identity
+            return num, _ONE_SERIES
         return (
             HahnSeries([(g - g0, c / q) for g, c in num._coeffs.items()]),
             _ONE_SERIES,
@@ -577,23 +589,35 @@ def _on_ring(series_list, op):
     from sympy.polys.domains import QQ
     from sympy.polys.rings import ring
 
-    indices = sorted(
-        {i for s in series_list for g in s.support for i in g.support}
-    )
+    # one unsorted pass over the exponents: the lowest entry of each index,
+    # and how many exponents hold it (an exponent without it holds a 0)
+    exponents = [g for s in series_list for g in s._coeffs]
+    low, held = {}, {}
+    for g in exponents:
+        for i, v in g._items:
+            if i in low:
+                if v < low[i]:
+                    low[i] = v
+                held[i] += 1
+            else:
+                low[i], held[i] = v, 1
+    indices = sorted(low)
     shift = GammaExp(
-        (i, min(g(i) for s in series_list for g in s.support))
+        (i, low[i] if held[i] == len(exponents) else min(low[i], 0))
         for i in indices
     )
     names = [f"x{i}" for i in indices] or ["x"]
     R = ring(names, QQ)[0]
     width = len(names)
 
+    def monomial(g):
+        exps = dict((g - shift)._items)
+        return tuple(exps.get(i, 0) for i in indices) or (0,) * width
+
     def to_poly(series):
         return R.from_dict(
             {
-                tuple((g - shift)(i) for i in indices) or (0,) * width: QQ(
-                    c.numerator, c.denominator
-                )
+                monomial(g): QQ(c.numerator, c.denominator)
                 for g, c in series._coeffs.items()
             }
         )

@@ -29,12 +29,17 @@ from .hahn import (
 
 _ZERO = HahnScalar(0)
 _ONE = HahnScalar(1)
-# hahn's shared constant series 1: a product with it returns the other factor
+# hahn's shared constant series 1: a product with it returns the other factor,
+# and every scalar over 1 carries this very object as its denominator
 _ONE_SERIES = _ONE.den
 
 
 class KVector:
-    """A vector with HahnScalar coordinates in a fixed ambient dimension."""
+    """A vector with HahnScalar coordinates in a fixed ambient dimension.
+
+    ``+``, ``-`` and scaling pass a zero coordinate through without scalar
+    arithmetic.
+    """
 
     __slots__ = ("coords",)
 
@@ -42,6 +47,13 @@ class KVector:
         self.coords = tuple(
             c if isinstance(c, HahnScalar) else HahnScalar(c) for c in coords
         )
+
+    @classmethod
+    def _of(cls, coords):
+        """Wrap a tuple of HahnScalars as it is, skipping the coercion."""
+        out = cls.__new__(cls)
+        out.coords = coords
+        return out
 
     @property
     def dim(self):
@@ -53,17 +65,23 @@ class KVector:
     def __add__(self, other):
         if self.dim != other.dim:
             raise DimensionMismatch("vector dimensions differ")
-        return KVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return KVector._of(tuple(
+            (a + b if a else b) if b else a
+            for a, b in zip(self.coords, other.coords)
+        ))
 
     def __sub__(self, other):
         if self.dim != other.dim:
             raise DimensionMismatch("vector dimensions differ")
-        return KVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return KVector._of(tuple(
+            (a - b if a else -b) if b else a
+            for a, b in zip(self.coords, other.coords)
+        ))
 
     def __rmul__(self, c):
         if not isinstance(c, HahnScalar):
             c = HahnScalar(c)
-        return KVector(tuple(c * a for a in self.coords))
+        return KVector._of(tuple(c * a if a else a for a in self.coords))
 
     def __eq__(self, other):
         return (
@@ -81,11 +99,11 @@ class KVector:
 
 def basis_vector(n, i):
     """e_i in ambient dimension n."""
-    return KVector(tuple(_ONE if k == i else _ZERO for k in range(n)))
+    return KVector._of(tuple(_ONE if k == i else _ZERO for k in range(n)))
 
 
 def zero_vector(n):
-    return KVector((_ZERO,) * n)
+    return KVector._of((_ZERO,) * n)
 
 
 def _times_t(c, i):
@@ -97,10 +115,10 @@ def form(f, g):
     """<f, g> = sum of f(i) g(i) t_i, over the coordinates nonzero in both.
 
     The sum is kept as one numerator over one running denominator, with no
-    cancellation: a term over 1 adds straight into the numerator, and any
-    other term makes N / D + n / d into (N d + n D) / (D d).  Equality is by
-    cross-multiplication and valuation subtracts, so no caller needs the
-    result in lowest terms.
+    cancellation: a term whose coordinates are both over 1 adds straight
+    into the numerator, and any other term makes N / D + n / d into
+    (N d + n D) / (D d).  Equality is by cross-multiplication and valuation
+    subtracts, so no caller needs the result in lowest terms.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("form arguments have different dimensions")
@@ -109,10 +127,10 @@ def form(f, g):
     for i, (a, b) in enumerate(zip(f.coords, g.coords)):
         if a and b:
             term = (a.num * b.num).shift(GammaExp.delta(i))
-            d = a.den * b.den
-            if d == _ONE_SERIES:
+            if a.den is _ONE_SERIES and b.den is _ONE_SERIES:
                 num = num + term * den
             else:
+                d = a.den * b.den
                 num = num * d + term * den
                 den = den * d
     if not num:
@@ -166,7 +184,15 @@ def _pivot(row):
 
 
 def _rref(vectors):
-    """Reduced echelon form of a list of KVectors; zero rows are dropped."""
+    """Reduced echelon form of a list of KVectors; zero rows are dropped.
+
+    Every pivot is the shared ``_ONE`` and every entry above or below a
+    pivot the shared ``_ZERO``.  Scalar arithmetic runs only where it can
+    change a value: a pivot row is scaled only when its pivot is not 1 and
+    only at its nonzero entries, and a row update touches only the columns
+    right of the pivot where the pivot row is nonzero (to its left the
+    pivot row is zero).
+    """
     if not vectors:
         return []
     n = vectors[0].dim
@@ -183,19 +209,23 @@ def _rref(vectors):
                 break
         if pivot_row is None:
             continue
-        inv = pivot_row[col].invert()
-        pivot_row = [inv * c for c in pivot_row]
+        live = [j for j in range(col + 1, n) if pivot_row[j]]
+        if pivot_row[col] != _ONE:
+            inv = pivot_row[col].invert()
+            for j in live:
+                pivot_row[j] = inv * pivot_row[j]
+        pivot_row[col] = _ONE
         for group in (out, rows):
-            for r, row in enumerate(group):
-                if row[col]:
-                    factor = row[col]
-                    group[r] = [
-                        a - factor * b for a, b in zip(row, pivot_row)
-                    ]
+            for row in group:
+                factor = row[col]
+                if factor:
+                    for j in live:
+                        row[j] = row[j] - factor * pivot_row[j]
+                    row[col] = _ZERO
         out.append(pivot_row)
     if any(any(c for c in row) for row in rows):
         raise AssertionError("elimination left an unreduced row")
-    return [KVector(row) for row in out]
+    return [KVector._of(tuple(row)) for row in out]
 
 
 class Subspace:
@@ -252,7 +282,7 @@ def _reduce_vector(v):
     # a stored denominator is 1 or has several terms (HahnScalar folds a
     # monomial one into the numerator), and only the latter needs a division
     nums = [
-        c.num * scale if c.den == _ONE_SERIES else _divide(
+        c.num * scale if c.den is _ONE_SERIES else _divide(
             c.num * scale, c.den, "denominator clearing was not exact")
         for c in v.coords
     ]
@@ -274,7 +304,7 @@ def _reduce_vector(v):
     lead = next(nm for nm in nums if nm).leading_coefficient()
     if lead != 1:
         nums = [nm * (1 / lead) for nm in nums]
-    return KVector(tuple(
+    return KVector._of(tuple(
         HahnScalar._over_one(nm) if nm else _ZERO for nm in nums
     ))
 
@@ -299,7 +329,7 @@ def _det(matrix):
         return _ONE
     if m == 1:
         return matrix[0][0]
-    acc = _ZERO
+    acc = None
     for i, head in enumerate(matrix[0]):
         if not head:
             continue
@@ -307,8 +337,10 @@ def _det(matrix):
             [row[c] for c in range(m) if c != i] for row in matrix[1:]
         ]
         term = head * _det(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+        if i % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return _ZERO if acc is None else acc
 
 
 def orthogonalize(vectors):
@@ -323,7 +355,6 @@ def orthogonalize(vectors):
     vectors = [_reduce_vector(v) for v in vectors]
     if not vectors:
         return []
-    n = vectors[0].dim
     span = _rref(vectors)
     if len(span) != len(vectors):
         raise DependentInput("input vectors are linearly dependent")
@@ -336,7 +367,7 @@ def orthogonalize(vectors):
             gram[r][c] = gram[c][r] = form(vectors[r], vectors[c])
     out = []
     for k in range(len(vectors)):
-        g = zero_vector(n)
+        g = None
         for i in range(k + 1):
             minor = [
                 [gram[r][c] for c in range(k + 1) if c != i]
@@ -345,7 +376,8 @@ def orthogonalize(vectors):
             coeff = _det(minor)
             if (k + i) % 2:
                 coeff = -coeff
-            g = g + coeff * vectors[i]
+            term = coeff * vectors[i]
+            g = term if g is None else g + term
         out.append(_reduce_vector(g))
     for a in range(len(out)):
         for b in range(a + 1, len(out)):
@@ -383,7 +415,8 @@ def ortho_complement(X):
     # f is orthogonal to basis vector b iff sum_i f_i b_i t_i = 0, so the
     # constraint matrix has entries b_i t_i; its kernel is read off the rref.
     constraints = [
-        _reduce_vector(KVector(tuple(_times_t(b[i], i) for i in range(X.n))))
+        _reduce_vector(
+            KVector._of(tuple(_times_t(b[i], i) for i in range(X.n))))
         for b in X.basis
     ]
     reduced = _rref(constraints)
@@ -394,8 +427,9 @@ def ortho_complement(X):
         coords = [_ZERO] * X.n
         coords[i] = _ONE
         for row, p in zip(reduced, pivots):
-            coords[p] = -row[i]
-        kernel.append(KVector(coords))
+            if row[i]:
+                coords[p] = -row[i]
+        kernel.append(KVector._of(tuple(coords)))
     return Subspace(X.n, kernel)
 
 

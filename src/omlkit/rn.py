@@ -147,18 +147,22 @@ def classify_atoms(K):
     )
 
 
-def noncommuting_atoms(K, atom_name):
-    """The atoms p with commutator gamma(p, atom) != 0."""
-    c = K.index(atom_name)
+def _noncommuting_idx(K, c):
+    """The ids of the atoms p with commutator gamma(p, c) != 0, ascending."""
     atoms = np.array(K.atoms_idx())
     atoms = atoms[atoms != c]
-    return {K.names[p] for p in atoms[~K.commutes_idx(atoms, c)]}
+    return atoms[~K.commutes_idx(atoms, c)].tolist()
+
+
+def noncommuting_atoms(K, atom_name):
+    """The atoms p with commutator gamma(p, atom) != 0."""
+    return {K.names[p] for p in _noncommuting_idx(K, K.index(atom_name))}
 
 
 def claim1_join_check(K, atom_name):
     """All pairwise joins of the atom's non-commuting atoms dominate it."""
     c = K.index(atom_name)
-    nc = sorted(K.index(nm) for nm in noncommuting_atoms(K, atom_name))
+    nc = _noncommuting_idx(K, c)
     for a in range(len(nc)):
         for b in range(a + 1, len(nc)):
             if not K.leq_idx(c, K.join_idx(nc[a], nc[b])):
@@ -249,7 +253,8 @@ def rn_report(rows, K=None):
     atom_claims = []
     for role in ("internal", "external"):
         for nm in sorted(getattr(cls, role) - cls.boundary):
-            nc = noncommuting_atoms(K, nm)
+            c = K.index(nm)
+            nc = _noncommuting_idx(K, c)
             entry = {
                 "atom": nm,
                 "role": role,
@@ -258,7 +263,7 @@ def rn_report(rows, K=None):
             }
             if role == "internal":
                 entry["pairwise_joins_dominate"] = claim1_join_check(K, nm)
-            witness = compactness_witness(K, nm, sorted(nc))
+            witness = compactness_witness(K, c, nc)
             entry["witness"] = tuple(sorted(witness))
             entry["witness_ok"] = len(witness) <= 2
             atom_claims.append(entry)

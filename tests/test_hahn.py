@@ -11,6 +11,7 @@ from omlkit.hahn import (
     HahnScalar,
     HahnSeries,
     TypeClass,
+    _ONE_SERIES,
     _cancel,
     _exact_quotient,
     _on_ring,
@@ -371,6 +372,30 @@ def test_series_gcd_with_a_monomial_is_one():
         assert ring_gcd.is_constant() and ring_gcd
 
 
+def test_on_ring_shifts_by_the_lowest_entry_of_each_index():
+    # the ring image of a series is the series times t^(-m), where m_i is
+    # the lowest entry of index i over every exponent of every argument,
+    # an exponent without index i counting as 0; gcds are returned in this
+    # representative, so the shift must be exactly m
+    rng = random.Random(21)
+    from omlkit.keller import random_gamma, random_series
+
+    positive = 0
+    for _ in range(300):
+        series = [random_series(rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            # every exponent holds index 5 with a positive entry
+            lift = GammaExp([(5, rng.randint(1, 3))])
+            series = [x.shift(lift + random_gamma(rng, 4)) for x in series]
+        exps = [g for x in series for g in x.support]
+        indices = {i for g in exps for i in g.support}
+        m = GammaExp((i, min(g(i) for g in exps)) for i in indices)
+        positive += any(v > 0 for _, v in m.items())
+        images = _on_ring(series, lambda *polys: polys)
+        assert list(images) == [x.shift(-m) for x in series]
+    assert positive > 50
+
+
 def _ring_gcd(a, b):
     return _on_ring([a, b], lambda pa, pb: pa.gcd(pb))
 
@@ -460,6 +485,45 @@ def test_scalar_arithmetic_matches_the_general_formula():
                     assert (got.num._coeffs, got.den._coeffs) == (
                         num._coeffs, den._coeffs)
     assert min(kinds.values()) > 300
+
+
+def test_every_result_over_one_shares_the_constant_series():
+    # keller tests "over 1" by identity with the shared constant series, so
+    # every scalar over 1 that arithmetic or _cancel returns must carry it;
+    # a result over an equal but distinct series would silently take the
+    # general path
+    rng = random.Random(19)
+    from omlkit.keller import random_scalar, random_series
+
+    def check(den):
+        if den.is_constant() and den.leading_coefficient() == 1:
+            assert den is _ONE_SERIES
+            return 1
+        return 0
+
+    over_one = pairs = 0
+    for _ in range(60):
+        s = _random_multiterm_series(rng)
+        operands = [random_scalar(rng), HahnScalar(random_series(rng)),
+                    HahnScalar(0), HahnScalar(random_series(rng), 2),
+                    HahnScalar(random_series(rng), _random_monomial(rng)),
+                    HahnScalar(random_series(rng) * s, s),
+                    HahnScalar(random_series(rng),
+                               _random_multiterm_series(rng))]
+        over_one += sum(check(x.den) for x in operands)
+        for a in operands[:4]:
+            for b in operands:
+                pairs += 1
+                results = [a + b, a - b, a * b, -b, b * a]
+                if b:
+                    results += [a / b, b.invert()]
+                over_one += sum(check(r.den) for r in results)
+                for num, den in ((a.num, b.den), (a.num * b.den, b.den)):
+                    over_one += check(_cancel(num, den)[1])
+                    over_one += check(_cancel(num, den, lazy=False)[1])
+                if b.num:
+                    over_one += check(series_ratio(a.num * b.num, b.num)[1])
+    assert pairs >= 600 and over_one > 10000
 
 
 # -- parse / emit ----------------------------------------------------------

@@ -17,6 +17,8 @@ from omlkit.hahn import (
 from omlkit.keller import (
     KVector,
     Subspace,
+    _pivot,
+    _rref,
     anisotropy_check,
     basis_vector,
     closure_check,
@@ -26,7 +28,10 @@ from omlkit.keller import (
     ortho_complement,
     orthogonalize,
     pi_map,
+    random_gamma,
     random_nonzero_vector,
+    random_scalar,
+    random_series,
     random_subspace,
     random_vector,
     type_of,
@@ -90,8 +95,6 @@ def test_form_over_one_denominator_matches_the_reference_sum():
     # 1 + t_0 and 1 + t_1 the lowest terms of <f, f> have at most 9 terms in
     # the denominator, while form's product of squares grows far past that
     rng = random.Random(13)
-    from omlkit.keller import random_scalar, random_series
-
     one = HahnSeries.constant(1)
     dens = []
     for _ in range(20):
@@ -207,6 +210,124 @@ def test_orthogonal_vectors_have_distinct_types():
         out = orthogonalize(list(X.basis))
         types = [type_of(v) for v in out]
         assert len(set(types)) == len(types)
+
+
+# -- elimination and vector arithmetic -----------------------------------------
+
+
+def _reference_rref(vectors):
+    """Dense Gauss-Jordan elimination: every entry of every row, every step."""
+    n = vectors[0].dim
+    rows = [list(v.coords) for v in vectors]
+    out = []
+    for col in range(n):
+        pick = next((r for r, row in enumerate(rows)
+                     if row[col] and not any(row[:col])), None)
+        if pick is None:
+            continue
+        pivot_row = rows.pop(pick)
+        inv = pivot_row[col].invert()
+        pivot_row = [inv * c for c in pivot_row]
+        for group in (out, rows):
+            for r, row in enumerate(group):
+                factor = row[col]
+                group[r] = [a - factor * b for a, b in zip(row, pivot_row)]
+        out.append(pivot_row)
+    assert not any(any(row) for row in rows)
+    return out
+
+
+def _nonzero_series(rng):
+    while True:
+        s = random_series(rng, 2, 3)
+        if s:
+            return s
+
+
+def _mixed_vector(rng, n):
+    """Coordinates that are zero, over 1, or over a two-term denominator."""
+    one = HahnSeries.constant(1)
+    coords = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.3:
+            coords.append(HahnScalar(0))
+        elif roll < 0.55:
+            den = one + HahnSeries.t(rng.randint(0, 3))
+            coords.append(HahnScalar(_nonzero_series(rng), den))
+        else:
+            coords.append(random_scalar(rng, 2, 3))
+    return KVector(coords)
+
+
+def test_rref_matches_a_dense_reference_elimination():
+    # _rref skips every product with a zero or unit entry and writes its
+    # pivots and eliminated entries directly; the dense elimination that
+    # runs every scalar operation must give the same rows in value
+    rng = random.Random(31)
+    seen = {"zero": 0, "fraction": 0, "dependent": 0, "rank": set()}
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        vs = [_mixed_vector(rng, n) for _ in range(rng.randint(1, n))]
+        if len(vs) > 1 and rng.random() < 0.3:
+            vs.append(vs[0] + random_scalar(rng, 1, 2) * vs[-1])
+            seen["dependent"] += 1
+        for v in vs:
+            for c in v.coords:
+                seen["zero"] += not c
+                seen["fraction"] += c.den.term_count > 1
+        got = _rref(vs)
+        want = _reference_rref(vs)
+        seen["rank"].add(len(got))
+        assert len(got) == len(want)
+        for row, ref in zip(got, want):
+            assert list(row.coords) == ref
+        pivots = [_pivot(row.coords) for row in got]
+        assert pivots == sorted(set(pivots))
+        for row, p in zip(got, pivots):
+            assert row[p] is omlkit.keller._ONE
+            for other in got:
+                if other is not row:
+                    assert not other[p]
+    assert seen["zero"] > 50 and seen["fraction"] > 50
+    assert seen["dependent"] > 10 and seen["rank"] >= {1, 2, 3, 4}
+
+
+def test_vector_arithmetic_matches_coordinatewise_scalars():
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        f, g = _mixed_vector(rng, n), _mixed_vector(rng, n)
+        c = rng.choice([random_scalar(rng, 2, 3), HahnScalar(0), 3])
+        sc = c if isinstance(c, HahnScalar) else HahnScalar(c)
+        for got, want in ((f + g, [a + b for a, b in zip(f, g)]),
+                          (f - g, [a - b for a, b in zip(f, g)]),
+                          (c * f, [sc * a for a in f])):
+            assert isinstance(got, KVector) and got.dim == n
+            assert all(isinstance(x, HahnScalar) for x in got.coords)
+            assert list(got.coords) == want
+        # a zero coordinate passes through with no scalar operation
+        for i in range(n):
+            if not g[i]:
+                assert (f + g)[i] is f[i] and (f - g)[i] is f[i]
+            if not f[i]:
+                assert (c * f)[i] is f[i]
+        for op in (KVector.__add__, KVector.__sub__):
+            with pytest.raises(DimensionMismatch):
+                op(f, zero_vector(n + 1))
+
+
+def test_gamma_exponents_keep_their_hash_and_share_deltas():
+    rng = random.Random(33)
+    for _ in range(1000):
+        a, b = random_gamma(rng), random_gamma(rng)
+        for g in (a, a + b, a - b, -a, a * 3, GammaExp(dict(a.items()))):
+            assert hash(g) == hash(g.items())
+            assert hash(g) == hash(GammaExp(g.items()))
+        n = rng.randint(0, 12)
+        d = GammaExp.delta(n)
+        assert d is GammaExp.delta(n)
+        assert d == GammaExp([(n, 1)]) and hash(d) == hash(((n, 1),))
 
 
 # -- subspaces and the pi map --------------------------------------------------

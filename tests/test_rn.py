@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omlkit.errors import RowsTooSmall
-from omlkit.kalmbach import OrderCheck, kalmbach
+from omlkit.kalmbach import KalmbachOML, OrderCheck, kalmbach
 from omlkit.lattice import compactness_witness
 from omlkit.ortho import has_n_covering
 from omlkit.rn import (
@@ -70,6 +70,28 @@ def test_internal_atom_claims_rows3(rn3):
         assert claim1_join_check(K, nm), nm
         w = compactness_witness(K, nm, sorted(nc))
         assert len(w) <= 2
+
+
+def test_atom_claims_parse_only_the_atom_names(rn3, monkeypatch):
+    # the report reads the non-commuting atoms as ids: it parses a name
+    # once per atom claim, once more in each claim1_join_check and once per
+    # center artifact, never the names of the non-commuting atoms
+    _, K = rn3
+    calls, index = [], KalmbachOML.index
+
+    def counted(self, name):
+        calls.append(name)
+        return index(self, name)
+
+    monkeypatch.setattr(KalmbachOML, "index", counted)
+    report = rn_report(3, K)
+    claims = report["atom_claims"]
+    internal = sum(e["role"] == "internal" for e in claims)
+    assert claims and internal
+    assert len(calls) == (len(claims) + internal
+                          + len(report["center_artifacts"]))
+    assert set(calls) <= ({e["atom"] for e in claims}
+                          | set(report["center_artifacts"]))
 
 
 def test_external_atom_claims_rows3(rn3):
