@@ -403,6 +403,30 @@ def test_keller_report_golden_text():
     assert text == KELLER_REPORT_3_0_100
 
 
+KELLER_REPORT_DIGESTS = {
+    (2, 100, 0):
+        "dd9f706f4c6bebfa1fd4dfb4a1a73e5331da98305e72e2afd9cffb1a4a16de17",
+    (2, 100, 1):
+        "1e8ad434b6e75d1fe73d28b8b3390fe7746f385eaf69c17abe51932af1aa051d",
+    (3, 100, 1):
+        "149e3fa3dc6a8a469d84949b24a11fc8d2de7d6d2ac18d25a070fe2418812fe3",
+    (4, 50, 0):
+        "1695d5636609d39c78a91ec51c1fe4d3cc7706b32fc6d07008fc95761a42947f",
+    (4, 50, 1):
+        "f82a3fcb910b19be8d3f61bc1f8500d853814d832f7a1f64fdaf203aecc20ecc",
+}
+
+
+@pytest.mark.parametrize("dim, trials, seed", sorted(KELLER_REPORT_DIGESTS))
+def test_keller_report_digests(dim, trials, seed):
+    # pins the report at the other dimensions and seeds by digest, so a
+    # change of series representation must leave every line as it was
+    text, ok = keller_report(dim, seed=seed, trials=trials)
+    assert ok
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        KELLER_REPORT_DIGESTS[dim, trials, seed])
+
+
 RN_REPORT_3 = """\
 rows: 3
 base_size: 16
