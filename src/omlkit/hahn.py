@@ -8,6 +8,7 @@ inverses never require infinite expansions.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import total_ordering
@@ -207,32 +208,139 @@ def tclass(gamma):
     return TypeClass(i for i, v in gamma.items() if v % 2)
 
 
-class HahnSeries:
-    """A finite-support map from exponents to rational coefficients."""
+# A series keeps each exponent packed into one int: digit i, in balanced base
+# 2^32 (every digit in (-2^31, 2^31)), is the exponent's entry at index i.
+# With balanced digits the int order is the reverse-lexicographic order, and
+# int + and - are the group operations, as long as no digit of a result
+# leaves the range; each series bounds its largest |digit| so that no
+# operation can wrap a digit silently.
+_WIDTH = 32
+_HALF = 1 << (_WIDTH - 1)
+_MASK = (1 << _WIDTH) - 1
 
-    __slots__ = ("_coeffs",)
+
+def _pack(gamma):
+    """(packed int, largest |entry|) of a GammaExp.
+
+    ValueError for a negative index, OverflowError for an entry that does
+    not fit a digit.
+    """
+    x = bound = 0
+    for i, v in gamma._items:
+        if i < 0:
+            raise ValueError(f"exponent index {i} is negative")
+        x += v << (_WIDTH * i)
+        if abs(v) > bound:
+            bound = abs(v)
+    return x, _checked(bound)
+
+
+def _checked(bound):
+    """bound itself, if a digit of that size cannot wrap."""
+    if bound >= _HALF:
+        raise OverflowError(
+            f"an exponent entry may reach {bound}, beyond the packed limit "
+            f"of {_HALF - 1}")
+    return bound
+
+
+def _digits(x):
+    """The balanced base-2^32 digits of a packed exponent, index 0 first."""
+    out = []
+    while x:
+        d = ((x + _HALF) & _MASK) - _HALF
+        out.append(d)
+        x = (x - d) >> _WIDTH
+    return out
+
+
+def _digit(x, i):
+    """Digit i of a packed exponent.
+
+    The digits below i add up to less than half a unit of digit i, so
+    rounding x to a multiple of that unit keeps digits i and up exactly.
+    """
+    unit = 1 << (_WIDTH * i)
+    x = (x + (unit >> 1)) >> (_WIDTH * i)
+    return ((x + _HALF) & _MASK) - _HALF
+
+
+def _indices(exponents):
+    """The sorted indices at which some packed exponent has a nonzero digit."""
+    return sorted({i for e in exponents for i, d in enumerate(_digits(e)) if d})
+
+
+def _unpack(x):
+    """The GammaExp of a packed exponent."""
+    if not x:
+        return GAMMA_ZERO
+    return GammaExp._of(tuple((i, d) for i, d in enumerate(_digits(x)) if d))
+
+
+def _reduced(coeffs, den, bound):
+    """The series coeffs / den, dividing out gcd(den, *coeffs) when den > 1.
+
+    An empty coeffs gives the zero series over 1.
+    """
+    if den != 1:
+        g = math.gcd(den, *coeffs.values())
+        if g != 1:
+            den //= g
+            coeffs = {e: c // g for e, c in coeffs.items()}
+    return HahnSeries._canonical(coeffs, den, bound)
+
+
+def _over_common_denominator(terms):
+    """(coeffs, den) of (packed exponent, nonzero rational) terms with
+    distinct exponents, over their least common denominator."""
+    den = math.lcm(*(int(c.denominator) for _, c in terms))
+    # each coefficient is in lowest terms, so gcd(den, *numerators) is 1
+    return {
+        e: int(c.numerator) * (den // int(c.denominator)) for e, c in terms
+    }, den
+
+
+class HahnSeries:
+    """A finite-support map from exponents to rational coefficients.
+
+    Stored as {packed exponent: int numerator} over one positive int
+    denominator with gcd(den, *numerators) == 1, so equal series have equal
+    representations; the zero series is {} over 1.  ``_bound`` bounds every
+    |digit| of every exponent: products and shifts add the bounds, sums take
+    the larger, and OverflowError is raised before a bound reaches 2^31.
+    Exponents are GammaExp and coefficients Fraction at the public methods.
+    """
+
+    __slots__ = ("_coeffs", "_den", "_bound")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, dict):
             coeffs = coeffs.items()
         acc = {}
+        bound = 0
         for g, c in coeffs:
-            c = Fraction(c)
-            if g in acc:
-                acc[g] += c
-            else:
-                acc[g] = c
-        self._coeffs = {g: c for g, c in acc.items() if c}
+            e, b = _pack(g)
+            if b > bound:
+                bound = b
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            acc[e] = acc[e] + c if e in acc else c
+        self._coeffs, self._den = _over_common_denominator(
+            [(e, c) for e, c in acc.items() if c])
+        self._bound = bound if self._coeffs else 0
 
     @classmethod
-    def _canonical(cls, coeffs):
-        """Wrap a dict that is already canonical, skipping normalisation.
+    def _canonical(cls, coeffs, den=1, bound=0):
+        """Wrap a representation that is already canonical.
 
-        The caller guarantees that every key is a GammaExp and every value a
-        nonzero Fraction; the dict is taken over, not copied.
+        The caller guarantees that coeffs maps packed exponents to nonzero
+        ints, that den is a positive int with gcd(den, *coeffs) == 1 (1 for
+        an empty coeffs), and that bound bounds every |digit|; the dict is
+        taken over, not copied.
         """
         out = cls.__new__(cls)
         out._coeffs = coeffs
+        out._den = den
+        out._bound = bound
         return out
 
     @classmethod
@@ -246,61 +354,94 @@ class HahnSeries:
     @classmethod
     def term(cls, q, gamma):
         q = Fraction(q)
-        return cls._canonical({gamma: q} if q else {})
+        e, bound = _pack(gamma)
+        if not q:
+            return cls._canonical({})
+        return cls._canonical({e: q.numerator}, q.denominator, bound)
 
     @classmethod
     def t(cls, n):
         return cls.term(1, GammaExp.delta(n))
 
     def coefficient(self, gamma):
-        return self._coeffs.get(gamma, Fraction(0))
+        return Fraction(self._coeffs.get(_pack(gamma)[0], 0), self._den)
 
     @property
     def support(self):
-        return sorted(self._coeffs)
+        return [_unpack(e) for e in sorted(self._coeffs)]
 
     @property
     def term_count(self):
         return len(self._coeffs)
 
     def is_constant(self):
-        return not self._coeffs or set(self._coeffs) == {GAMMA_ZERO}
+        return not self._coeffs or set(self._coeffs) == {0}
 
     def valuation(self):
         if not self._coeffs:
             return INF
-        return min(self._coeffs)
+        return _unpack(min(self._coeffs))
 
     def leading_coefficient(self):
-        v = self.valuation()
-        return Fraction(0) if v is INF else self._coeffs[v]
+        if not self._coeffs:
+            return Fraction(0)
+        return Fraction(self._coeffs[min(self._coeffs)], self._den)
+
+    def _combine(self, other, sign):
+        """self + sign * other, for sign 1 or -1."""
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._coeffs)
+            scale = sign
+        else:
+            g = math.gcd(da, db)
+            scale_a, scale = db // g, sign * (da // g)
+            out = {e: c * scale_a for e, c in self._coeffs.items()}
+            da *= scale_a
+        for e, c in other._coeffs.items():
+            c *= scale
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return _reduced(out, da, max(self._bound, other._bound))
 
     def __add__(self, other):
-        out = dict(self._coeffs)
-        for g, c in other._coeffs.items():
-            if g in out:
-                c = out[g] + c
-                if not c:
-                    del out[g]
-                    continue
-            out[g] = c
-        return HahnSeries._canonical(out)
-
-    def __neg__(self):
-        return HahnSeries._canonical({g: -c for g, c in self._coeffs.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return HahnSeries._canonical(
+            {e: -c for e, c in self._coeffs.items()}, self._den, self._bound)
+
+    def _times_monomial(self, e0, bound, p, q):
+        """self times (p / q) t^e0, for a packed e0 whose digits are bounded
+        by bound and ints p and q != 0."""
+        if not p or not self._coeffs:
+            return HahnSeries.zero()
+        if q < 0:
+            p, q = -p, -q
+        bound = _checked(self._bound + bound)
+        if p == 1:
+            out = {e + e0: c for e, c in self._coeffs.items()}
+        else:
+            out = {e + e0: c * p for e, c in self._coeffs.items()}
+        if q == 1 and p in (1, -1):
+            return HahnSeries._canonical(out, self._den, bound)
+        return _reduced(out, self._den * q, bound)
 
     def __mul__(self, other):
         if not isinstance(other, HahnSeries):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return HahnSeries.zero()
-            return HahnSeries._canonical(
-                {g: c * other for g, c in self._coeffs.items()}
-            )
+            if isinstance(other, int):
+                return self._times_monomial(0, 0, other, 1)
+            if isinstance(other, Fraction):
+                return self._times_monomial(
+                    0, 0, other.numerator, other.denominator)
+            return NotImplemented
         if other is _ONE_SERIES:
             return self
         if self is _ONE_SERIES:
@@ -309,33 +450,36 @@ class HahnSeries:
             self, other = other, self
         if len(other._coeffs) == 1:
             # a monomial factor shifts and rescales; no two terms collide
-            ((g0, c0),) = other._coeffs.items()
-            if not g0 and c0 == 1:
+            ((e0, c0),) = other._coeffs.items()
+            if not e0 and c0 == 1 == other._den:
                 return self
-            return HahnSeries._canonical(
-                {g + g0: c * c0 for g, c in self._coeffs.items()}
-            )
+            return self._times_monomial(e0, other._bound, c0, other._den)
+        bound = _checked(self._bound + other._bound)
         out = {}
-        for g1, c1 in self._coeffs.items():
-            for g2, c2 in other._coeffs.items():
-                g = g1 + g2
-                c = c1 * c2
-                out[g] = out[g] + c if g in out else c
-        return HahnSeries._canonical({g: c for g, c in out.items() if c})
+        get = out.get
+        rhs = other._coeffs.items()
+        for e1, c1 in self._coeffs.items():
+            for e2, c2 in rhs:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _reduced(
+            {e: c for e, c in out.items() if c}, self._den * other._den, bound)
 
     __rmul__ = __mul__
 
     def shift(self, gamma):
         """This series times the monomial t^gamma."""
-        return HahnSeries._canonical(
-            {g + gamma: c for g, c in self._coeffs.items()}
-        )
+        return self._times_monomial(*_pack(gamma), 1, 1)
 
     def __eq__(self, other):
-        return isinstance(other, HahnSeries) and self._coeffs == other._coeffs
+        return (
+            isinstance(other, HahnSeries)
+            and self._den == other._den
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((frozenset(self._coeffs.items()), self._den))
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -470,7 +614,8 @@ _ONE_SERIES = HahnSeries.constant(1)
 
 def _is_one(series):
     """Whether series is the constant 1."""
-    return series is _ONE_SERIES or series._coeffs == _ONE_SERIES._coeffs
+    return series is _ONE_SERIES or (
+        series._den == 1 and series._coeffs == _ONE_SERIES._coeffs)
 
 
 def _cancel(num, den, lazy=True):
@@ -490,16 +635,12 @@ def _cancel(num, den, lazy=True):
         return num, den
     if len(den._coeffs) == 1:
         # a monomial denominator divides in exactly: shift and rescale
-        g0 = next(iter(den._coeffs))
-        q = den.coefficient(g0)
-        if not g0 and q == 1:
+        ((e0, c0),) = den._coeffs.items()
+        if not e0 and c0 == 1 == den._den:
             # the shared constant 1, so that callers can test "over 1" by
             # identity
             return num, _ONE_SERIES
-        return (
-            HahnSeries([(g - g0, c / q) for g, c in num._coeffs.items()]),
-            _ONE_SERIES,
-        )
+        return num._times_monomial(-e0, den._bound, den._den, c0), _ONE_SERIES
     new_num, new_den = _on_ring(
         [num, den], lambda pn, pd: pn.cancel(pd)
     )
@@ -534,13 +675,10 @@ def _quotient_box(a, b):
     index i in [ord_i a - ord_i b, deg_i a - deg_i b].  Indices outside both
     supports are 0 in q and have no row.
     """
-    indices = sorted(
-        {i for s in (a, b) for g in s._coeffs for i, _ in g.items()}
-    )
     box = []
-    for i in indices:
-        ea = [g(i) for g in a._coeffs]
-        eb = [g(i) for g in b._coeffs]
+    for i in _indices([*a._coeffs, *b._coeffs]):
+        ea = [_digit(e, i) for e in a._coeffs]
+        eb = [_digit(e, i) for e in b._coeffs]
         box.append((i, min(ea) - min(eb), max(ea) - max(eb)))
     return box
 
@@ -552,31 +690,38 @@ def _exact_quotient(a, b):
     lowest term of the remainder, so the quotient's terms come out strictly
     increasing.  They must all lie in the finite ``_quotient_box``; a term
     outside it proves that b does not divide a, and it also bounds the loop.
+    The division runs on the numerators; a / b is their quotient times
+    den(b) / den(a).
     """
+    # a quotient exponent has digits within a._bound + b._bound, a
+    # remainder exponent within one b._bound more, and a candidate quotient
+    # exponent (remainder minus b's lowest) within one more again
+    _checked(a._bound + 3 * b._bound)
     box = _quotient_box(a, b)
     if any(lo > hi for _, lo, hi in box):
         return None
     vb = min(b._coeffs)
     cb = b._coeffs[vb]
-    rest = [(g, c) for g, c in b._coeffs.items() if g != vb]
+    rest = [(e, c) for e, c in b._coeffs.items() if e != vb]
     r = dict(a._coeffs)
-    q = {}
+    q = []
     while r:
         vr = min(r)
-        g = vr - vb
-        exps = dict(g.items())
-        if any(not lo <= exps.get(i, 0) <= hi for i, lo, hi in box):
+        e = vr - vb
+        if any(not lo <= _digit(e, i) <= hi for i, lo, hi in box):
             return None
-        c = r.pop(vr) / cb
-        q[g] = c
-        for gb, cr in rest:
-            e = g + gb
-            v = r.get(e, 0) - c * cr
+        c = Fraction(r.pop(vr), cb)
+        q.append((e, c * b._den / a._den))
+        for eb, cr in rest:
+            x = e + eb
+            v = r.get(x, 0) - c * cr
             if v:
-                r[e] = v
+                r[x] = v
             else:
-                r.pop(e, None)
-    return HahnSeries._canonical(q)
+                r.pop(x, None)
+    coeffs, den = _over_common_denominator(q)
+    bound = max((max(-lo, hi) for _, lo, hi in box), default=0)
+    return HahnSeries._canonical(coeffs, den, bound)
 
 
 def _on_ring(series_list, op):
@@ -589,47 +734,33 @@ def _on_ring(series_list, op):
     from sympy.polys.domains import QQ
     from sympy.polys.rings import ring
 
-    # one unsorted pass over the exponents: the lowest entry of each index,
-    # and how many exponents hold it (an exponent without it holds a 0)
-    exponents = [g for s in series_list for g in s._coeffs]
-    low, held = {}, {}
-    for g in exponents:
-        for i, v in g._items:
-            if i in low:
-                if v < low[i]:
-                    low[i] = v
-                held[i] += 1
-            else:
-                low[i], held[i] = v, 1
-    indices = sorted(low)
-    shift = GammaExp(
-        (i, low[i] if held[i] == len(exponents) else min(low[i], 0))
-        for i in indices
-    )
+    # the lowest digit of each index over every exponent
+    exponents = {e for s in series_list for e in s._coeffs}
+    indices = _indices(exponents)
+    low = {i: min(_digit(e, i) for e in exponents) for i in indices}
     names = [f"x{i}" for i in indices] or ["x"]
     R = ring(names, QQ)[0]
     width = len(names)
 
-    def monomial(g):
-        exps = dict((g - shift)._items)
-        return tuple(exps.get(i, 0) for i in indices) or (0,) * width
+    def monomial(e):
+        return tuple(_digit(e, i) - low[i] for i in indices) or (0,) * width
 
     def to_poly(series):
         return R.from_dict(
-            {
-                monomial(g): QQ(c.numerator, c.denominator)
-                for g, c in series._coeffs.items()
-            }
+            {monomial(e): QQ(c, series._den) for e, c in series._coeffs.items()}
         )
 
     def to_series(poly):
-        return HahnSeries(
-            (
-                GammaExp(zip(indices, exps)),
-                Fraction(int(c.numerator), int(c.denominator)),
-            )
-            for exps, c in poly.terms()
-        )
+        terms = []
+        bound = 0
+        for exps, c in poly.terms():
+            e = 0
+            for i, k in zip(indices, exps):
+                bound = max(bound, k)
+                e += k << (_WIDTH * i)
+            terms.append((e, c))
+        coeffs, den = _over_common_denominator(terms)
+        return HahnSeries._canonical(coeffs, den, _checked(bound))
 
     result = op(*(to_poly(s) for s in series_list))
     if isinstance(result, tuple):
@@ -723,11 +854,16 @@ def parse_series(text):
             pairs = []
             for entry in filter(None, (e.strip() for e in entries.split(","))):
                 i, v = entry.split(":")
+                if int(i) < 0:
+                    raise ParseError(pos, f"negative exponent index in {entry!r}")
                 pairs.append((int(i), int(v)))
             gamma = GammaExp(pairs)
         else:
             gamma = GAMMA_ZERO
-        out = out + HahnSeries.term(sign * coeff, gamma)
+        try:
+            out = out + HahnSeries.term(sign * coeff, gamma)
+        except OverflowError as exc:
+            raise ParseError(pos, str(exc)) from None
     return out
 
 
@@ -736,11 +872,11 @@ def emit_series(series):
     if not series:
         return "0"
     parts = []
-    for g in series.support:
-        c = series.coefficient(g)
-        if g == GAMMA_ZERO:
+    for e in sorted(series._coeffs):
+        c = Fraction(series._coeffs[e], series._den)
+        if not e:
             parts.append(str(c))
         else:
-            gamma = ",".join(f"{i}:{v}" for i, v in g.items())
+            gamma = ",".join(f"{i}:{v}" for i, v in _unpack(e).items())
             parts.append(f"{c} * t[({gamma})]")
     return " + ".join(parts).replace("+ -", "- ")

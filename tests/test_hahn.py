@@ -15,7 +15,9 @@ from omlkit.hahn import (
     _cancel,
     _exact_quotient,
     _on_ring,
+    _pack,
     _quotient_box,
+    _unpack,
     emit_series,
     parse_series,
     series_gcd,
@@ -194,6 +196,137 @@ def test_arithmetic_results_match_public_constructor():
             x.shift(gamma), HahnSeries([(g + gamma, c) for g, c in tx])
         )
         assert x.shift(gamma) == x * HahnSeries.term(1, gamma)
+
+
+# -- packed exponents against GammaExp --------------------------------------
+
+
+def _random_wide_gamma(rng, limit):
+    """An exponent on indices 0-39 with entries below limit in size, the
+    extreme entries drawn often."""
+    support = rng.sample(range(40), rng.randint(0, 4))
+    return GammaExp([
+        (i, rng.choice([-(limit - 1), limit - 1, rng.randint(-limit + 1,
+                                                             limit - 1)]))
+        for i in support
+    ])
+
+
+def test_packed_exponents_match_gammaexp():
+    # the int order, == and the int sum and difference of packed exponents
+    # are the reverse-lex order and the group operations, while entries stay
+    # below 2^30 in size (sums below 2^31)
+    rng = random.Random(22)
+    for _ in range(4000):
+        a, b = (_random_wide_gamma(rng, 2**30) for _ in range(2))
+        if rng.random() < 0.2:
+            b = a + GammaExp([(rng.randint(0, 39), rng.choice([-1, 1]))])
+        pa, pb = _pack(a)[0], _pack(b)[0]
+        assert _unpack(pa) == a and _unpack(pb) == b
+        assert (pa < pb) == (a < b) and (pb < pa) == (b < a)
+        assert (pa == pb) == (a == b)
+        assert _unpack(pa + pb) == a + b
+        assert _unpack(pa - pb) == a - b
+
+
+def test_packed_limit_and_index_guards():
+    top = 2**31 - 1
+    near = HahnSeries.term(3, GammaExp([(0, top), (7, -top)]))
+    assert near.support == [GammaExp([(0, top), (7, -top)])]
+    assert (near + near).coefficient(GammaExp([(0, top), (7, -top)])) == 6
+    with pytest.raises(OverflowError):
+        HahnSeries.term(1, GammaExp([(0, 2**31)]))
+    with pytest.raises(OverflowError):
+        near * HahnSeries.t(3)
+    with pytest.raises(OverflowError):
+        near * (HahnSeries.t(0) + HahnSeries.t(1))
+    with pytest.raises(OverflowError):
+        near.shift(GammaExp.delta(2))
+    with pytest.raises(OverflowError):
+        near.shift(-GammaExp.delta(0))
+    # bounds add: below 2^31 in sum the product is exact
+    half = HahnSeries.t(5) * HahnSeries.term(1, GammaExp([(5, 2**30 - 2)]))
+    wide = half * HahnSeries.term(1, GammaExp([(5, 2**30)]))
+    assert wide.support == [GammaExp([(5, top)])]
+    with pytest.raises(OverflowError):
+        wide * HahnSeries.t(4)
+    with pytest.raises(OverflowError):
+        _exact_quotient(half, half + HahnSeries.constant(1))
+    with pytest.raises(ValueError):
+        HahnSeries([(GammaExp([(-1, 2)]), 1)])
+    with pytest.raises(ValueError):
+        HahnSeries.t(-1)
+    with pytest.raises(ParseError):
+        parse_series("t[(-1:2)]")
+    with pytest.raises(ParseError):
+        parse_series("t[(0:2147483648)]")
+
+
+# -- series against a plain coefficient dict ---------------------------------
+
+
+def _random_terms(rng, pool):
+    """Terms over a few exponents from pool, repeats and zeros included."""
+    return [
+        (rng.choice(pool), Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 5))
+    ]
+
+
+def _ref_of(terms):
+    ref = {}
+    for g, c in terms:
+        ref[g] = ref.get(g, 0) + c
+    return {g: c for g, c in ref.items() if c}
+
+
+def _ref_product(a, b):
+    return _ref_of([(g1 + g2, c1 * c2) for g1, c1 in a.items()
+                    for g2, c2 in b.items()])
+
+
+def _ref_emit(ref):
+    """The literal of a {GammaExp: Fraction} dict, lowest exponent first."""
+    if not ref:
+        return "0"
+    parts = []
+    for g in sorted(ref):
+        entries = ",".join(f"{i}:{v}" for i, v in g.items())
+        parts.append(f"{ref[g]} * t[({entries})]" if entries else str(ref[g]))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def test_series_arithmetic_matches_a_plain_dict_reference():
+    rng = random.Random(23)
+    for _ in range(400):
+        limit = rng.choice([4, 2**20, 2**29])
+        pool = [_random_wide_gamma(rng, limit) for _ in range(4)]
+        ta, tb = _random_terms(rng, pool), _random_terms(rng, pool)
+        if rng.random() < 0.3:
+            # cancel b against a, term by term
+            tb = [(g, -c) for g, c in ta] + tb[:1]
+        ra, rb = _ref_of(ta), _ref_of(tb)
+        a, b = HahnSeries(ta), HahnSeries(tb)
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        k = rng.randint(-3, 3)
+        gamma = _random_wide_gamma(rng, limit)
+        expected = [
+            (a + b, _ref_of([*ra.items(), *rb.items()])),
+            (a - b, _ref_of([*ra.items(), *((g, -c) for g, c in rb.items())])),
+            (-a, {g: -c for g, c in ra.items()}),
+            (a * b, _ref_product(ra, rb)),
+            (a * q, _ref_of([(g, c * q) for g, c in ra.items()])),
+            (q * b, _ref_of([(g, q * c) for g, c in rb.items()])),
+            (k * a, _ref_of([(g, k * c) for g, c in ra.items()])),
+            (a.shift(gamma), {g + gamma: c for g, c in ra.items()}),
+        ]
+        for got, ref in expected:
+            assert {g: got.coefficient(g) for g in got.support} == ref
+            assert got.support == sorted(ref)
+            assert all(type(got.coefficient(g)) is Fraction for g in ref)
+            assert emit_series(got) == _ref_emit(ref)
+            assert got == HahnSeries(ref) and hash(got) == hash(HahnSeries(ref))
+            assert bool(got) == bool(ref)
 
 
 # -- scalars ---------------------------------------------------------------
