@@ -322,8 +322,7 @@ class HahnSeries:
             e, b = _pack(g)
             if b > bound:
                 bound = b
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            acc[e] = acc[e] + c if e in acc else c
+            acc[e] = acc.get(e, 0) + Fraction(c)
         self._coeffs, self._den = _over_common_denominator(
             [(e, c) for e, c in acc.items() if c])
         self._bound = bound if self._coeffs else 0
@@ -426,10 +425,7 @@ class HahnSeries:
         if q < 0:
             p, q = -p, -q
         bound = _checked(self._bound + bound)
-        if p == 1:
-            out = {e + e0: c for e, c in self._coeffs.items()}
-        else:
-            out = {e + e0: c * p for e, c in self._coeffs.items()}
+        out = {e + e0: c * p for e, c in self._coeffs.items()}
         if q == 1 and p in (1, -1):
             return HahnSeries._canonical(out, self._den, bound)
         return _reduced(out, self._den * q, bound)
