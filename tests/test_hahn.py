@@ -204,11 +204,10 @@ def test_arithmetic_results_match_public_constructor():
 def _random_wide_gamma(rng, limit):
     """An exponent on indices 0-39 with entries below limit in size, the
     extreme entries drawn often."""
+    top = limit - 1
     support = rng.sample(range(40), rng.randint(0, 4))
     return GammaExp([
-        (i, rng.choice([-(limit - 1), limit - 1, rng.randint(-limit + 1,
-                                                             limit - 1)]))
-        for i in support
+        (i, rng.choice([-top, top, rng.randint(-top, top)])) for i in support
     ])
 
 
