@@ -93,3 +93,7 @@ class UnknownName(OmlkitError):
 
 class NonTotalPerp(OmlkitError):
     pass
+
+
+class HeuristicGCDFailed(OmlkitError):
+    pass

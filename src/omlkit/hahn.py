@@ -290,16 +290,6 @@ def _reduced(coeffs, den, bound):
     return HahnSeries._canonical(coeffs, den, bound)
 
 
-def _over_common_denominator(terms):
-    """(coeffs, den) of (packed exponent, nonzero rational) terms with
-    distinct exponents, over their least common denominator."""
-    den = math.lcm(*(int(c.denominator) for _, c in terms))
-    # each coefficient is in lowest terms, so gcd(den, *numerators) is 1
-    return {
-        e: int(c.numerator) * (den // int(c.denominator)) for e, c in terms
-    }, den
-
-
 class HahnSeries:
     """A finite-support map from exponents to rational coefficients.
 
@@ -323,9 +313,13 @@ class HahnSeries:
             if b > bound:
                 bound = b
             acc[e] = acc.get(e, 0) + Fraction(c)
-        self._coeffs, self._den = _over_common_denominator(
-            [(e, c) for e, c in acc.items() if c])
-        self._bound = bound if self._coeffs else 0
+        terms = [(e, c) for e, c in acc.items() if c]
+        den = math.lcm(*(c.denominator for _, c in terms))
+        # each coefficient is in lowest terms, so gcd(den, *numerators) is 1
+        self._coeffs = {e: c.numerator * (den // c.denominator)
+                        for e, c in terms}
+        self._den = den
+        self._bound = bound if terms else 0
 
     @classmethod
     def _canonical(cls, coeffs, den=1, bound=0):
@@ -597,7 +591,7 @@ class HahnScalar:
         return self.num * other.den == other.num * self.den
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num._coeffs)
 
     def __repr__(self):
         if _is_one(self.den):
@@ -637,9 +631,15 @@ def _cancel(num, den, lazy=True):
             # identity
             return num, _ONE_SERIES
         return num._times_monomial(-e0, den._bound, den._den, c0), _ONE_SERIES
-    new_num, new_den = _on_ring(
-        [num, den], lambda pn, pd: pn.cancel(pd)
-    )
+    # num / den == (p * den._den) / (q * num._den) for the cofactors p and
+    # q of the numerators; the unit is chosen so that the constants share
+    # no factor and q's lex leading coefficient is positive
+    _, p, q = _on_ring(num, den)
+    g = math.gcd(num._den, den._den)
+    sp, sq = den._den // g, num._den // g
+    if _lex_lead(q) < 0:
+        sp, sq = -sp, -sq
+    new_num, new_den = p * sp, q * sq
     if not new_den:
         raise AssertionError("cancellation produced a zero denominator")
     if new_den.term_count == 1:
@@ -666,48 +666,66 @@ def series_ratio(a, b):
 def _quotient_box(a, b):
     """Per-index exponent bounds of a / b, if b divides a: (i, lo, hi) rows.
 
-    The lowest (highest) exponent of index i in a product is the sum of the
-    factors' lowest (highest), so a quotient q = a / b has every exponent of
-    index i in [ord_i a - ord_i b, deg_i a - deg_i b].  Indices outside both
-    supports are 0 in q and have no row.
+    a and b are collections of packed exponents, such as the numerator dicts
+    of two series.  The lowest (highest) exponent of index i in a product is
+    the sum of the factors' lowest (highest), so a quotient q = a / b has
+    every exponent of index i in [ord_i a - ord_i b, deg_i a - deg_i b].
+    Indices outside both supports are 0 in q and have no row.
     """
+    rows_a = [_digits(e) for e in a]
+    rows_b = [_digits(e) for e in b]
+    width = max(map(len, rows_a + rows_b))
+
+    def columns(rows):
+        return zip(*(row + [0] * (width - len(row)) for row in rows))
+
     box = []
-    for i in _indices([*a._coeffs, *b._coeffs]):
-        ea = [_digit(e, i) for e in a._coeffs]
-        eb = [_digit(e, i) for e in b._coeffs]
-        box.append((i, min(ea) - min(eb), max(ea) - max(eb)))
+    for i, (ea, eb) in enumerate(zip(columns(rows_a), columns(rows_b))):
+        if any(ea) or any(eb):
+            box.append((i, min(ea) - min(eb), max(ea) - max(eb)))
     return box
 
 
-def _exact_quotient(a, b):
-    """a / b if b divides the nonzero series a in the Laurent ring, else None.
+def _divide(a, b, polynomial=False):
+    """(q, scale, bound) with scale * a == q * b, or None if b does not
+    divide a.
 
-    Leading-term division along the reverse-lex order: each step removes the
-    lowest term of the remainder, so the quotient's terms come out strictly
+    a and b are {packed exponent: int} dicts, a nonempty; q is one too,
+    scale is a positive int and bound bounds every |digit| of q.  Leading-term
+    division along the int (reverse-lex) order: each step removes the lowest
+    term of the remainder, so the quotient's terms come out strictly
     increasing.  They must all lie in the finite ``_quotient_box``; a term
     outside it proves that b does not divide a, and it also bounds the loop.
-    The division runs on the numerators; a / b is their quotient times
-    den(b) / den(a).
+    The remainder stays integral: before a step whose leading coefficient
+    b's does not divide, the remainder is multiplied by the missing factor,
+    which scale collects.  With polynomial set, b must divide a in Z[x]:
+    the quotient's exponents must be nonnegative and no step may rescale,
+    so scale is 1.
     """
-    # a quotient exponent has digits within a._bound + b._bound, a
-    # remainder exponent within one b._bound more, and a candidate quotient
-    # exponent (remainder minus b's lowest) within one more again
-    _checked(a._bound + 3 * b._bound)
     box = _quotient_box(a, b)
-    if any(lo > hi for _, lo, hi in box):
+    if any(lo > hi or (polynomial and lo < 0) for _, lo, hi in box):
         return None
-    vb = min(b._coeffs)
-    cb = b._coeffs[vb]
-    rest = [(e, c) for e, c in b._coeffs.items() if e != vb]
-    r = dict(a._coeffs)
-    q = []
+    vb = min(b)
+    cb = b[vb]
+    rest = [(e, c) for e, c in b.items() if e != vb]
+    r = dict(a)
+    q = []  # (exponent, coefficient, scale when it was found)
+    scale = 1
     while r:
         vr = min(r)
         e = vr - vb
         if any(not lo <= _digit(e, i) <= hi for i, lo, hi in box):
             return None
-        c = Fraction(r.pop(vr), cb)
-        q.append((e, c * b._den / a._den))
+        c = r.pop(vr)
+        if c % cb:
+            if polynomial:
+                return None
+            m = abs(cb) // math.gcd(c, cb)
+            scale *= m
+            c *= m
+            r = {x: v * m for x, v in r.items()}
+        c //= cb
+        q.append((e, c, scale))
         for eb, cr in rest:
             x = e + eb
             v = r.get(x, 0) - c * cr
@@ -715,53 +733,88 @@ def _exact_quotient(a, b):
                 r[x] = v
             else:
                 r.pop(x, None)
-    coeffs, den = _over_common_denominator(q)
     bound = max((max(-lo, hi) for _, lo, hi in box), default=0)
-    return HahnSeries._canonical(coeffs, den, bound)
+    return {e: c * (scale // s) for e, c, s in q}, scale, bound
 
 
-def _on_ring(series_list, op):
-    """Run a sparse-polynomial operation on series, mapping results back.
+def _exact_quotient(a, b):
+    """a / b if b divides the nonzero series a in the Laurent ring, else None.
 
-    The series are jointly shifted by a common monomial so all exponents are
-    nonnegative; results are returned unshifted, which for gcd and fraction
-    cancellation only changes representatives by a common monomial factor.
+    ``_divide`` runs on the numerators; a / b is their quotient times
+    den(b) / den(a).
     """
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import ring
+    # a quotient exponent has digits within a._bound + b._bound, a
+    # remainder exponent within one b._bound more, and a candidate quotient
+    # exponent (remainder minus b's lowest) within one more again
+    _checked(a._bound + 3 * b._bound)
+    out = _divide(a._coeffs, b._coeffs)
+    if out is None:
+        return None
+    q, scale, bound = out
+    if b._den != 1:
+        q = {e: c * b._den for e, c in q.items()}
+    return _reduced(q, scale * a._den, bound)
 
-    # the lowest digit of each index over every exponent
-    exponents = {e for s in series_list for e in s._coeffs}
-    indices = _indices(exponents)
-    low = {i: min(_digit(e, i) for e in exponents) for i in indices}
-    names = [f"x{i}" for i in indices] or ["x"]
-    R = ring(names, QQ)[0]
-    width = len(names)
 
-    def monomial(e):
-        return tuple(_digit(e, i) - low[i] for i in indices) or (0,) * width
+def _on_ring(a, b):
+    """(h, a / h, b / h) for h the polynomial gcd of two nonzero series.
 
-    def to_poly(series):
-        return R.from_dict(
-            {monomial(e): QQ(c, series._den) for e, c in series._coeffs.items()}
-        )
+    The pair is jointly shifted by a common monomial so all exponents are
+    nonnegative, each index is deflated by the gcd of its entries, and the
+    integer numerators go to the native heuristic gcd (``omlkit.heugcd``,
+    imported on first use).  h is their gcd in Z[x], unique up to sign, and
+    the cofactors are exact.  All three come back over 1 and unshifted,
+    which for gcd and fraction cancellation only changes representatives by
+    a common monomial factor.  OverflowError if a shifted entry reaches
+    2^31.
+    """
+    from .heugcd import cofactors
+
+    # (index, lowest entry, gcd j of the shifted entries) per index that
+    # varies; dividing by j (deflation) reads x_i^j as one variable, which
+    # gcds commute with, and keeps degrees and evaluation points small
+    columns = []
+    exponents = {*a._coeffs, *b._coeffs}
+    for i in _indices(exponents):
+        entries = [_digit(e, i) for e in exponents]
+        low = min(entries)
+        _checked(max(entries) - low)
+        if step := math.gcd(*(d - low for d in entries)):
+            columns.append((i, low, step))
+
+    def pack(e):
+        # the lowest index becomes the top digit, so that int order is lex
+        k = 0
+        for i, low, step in columns:
+            k = (k << _WIDTH) | (_digit(e, i) - low) // step
+        return k
 
     def to_series(poly):
-        terms = []
+        coeffs = {}
         bound = 0
-        for exps, c in poly.terms():
+        for k, c in poly.items():
             e = 0
-            for i, k in zip(indices, exps):
-                bound = max(bound, k)
-                e += k << (_WIDTH * i)
-            terms.append((e, c))
-        coeffs, den = _over_common_denominator(terms)
-        return HahnSeries._canonical(coeffs, den, _checked(bound))
+            for i, _, step in reversed(columns):
+                d = (k & _MASK) * step
+                k >>= _WIDTH
+                e |= d << (_WIDTH * i)
+                if d > bound:
+                    bound = d
+            coeffs[e] = c
+        return HahnSeries._canonical(coeffs, 1, bound)
 
-    result = op(*(to_poly(s) for s in series_list))
-    if isinstance(result, tuple):
-        return tuple(to_series(p) for p in result)
-    return to_series(result)
+    polys = [{pack(e): c for e, c in s._coeffs.items()} for s in (a, b)]
+    return tuple(map(to_series, cofactors(*polys, len(columns))))
+
+
+def _lex_lead(series):
+    """The leading numerator of a series with nonnegative exponents in the
+    lex order that reads the lowest index first.
+
+    ``_digits`` lists an exponent's digits from index 0 and drops trailing
+    zeros; with no negative digit, list order is that lex order.
+    """
+    return series._coeffs[max(series._coeffs, key=_digits)]
 
 
 def series_gcd(a, b):
@@ -781,7 +834,9 @@ def series_gcd(a, b):
     small, large = (a, b) if len(a._coeffs) <= len(b._coeffs) else (b, a)
     if _exact_quotient(large, small) is not None:
         return small
-    return _on_ring([a, b], lambda pa, pb: pa.gcd(pb))
+    # the gcd made monic in the lex order that reads the lowest index first
+    h = _on_ring(a, b)[0]
+    return h._times_monomial(0, 0, 1, _lex_lead(h))
 
 
 def _coerce(value):

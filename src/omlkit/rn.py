@@ -162,7 +162,11 @@ def noncommuting_atoms(K, atom_name):
 def claim1_join_check(K, atom_name):
     """All pairwise joins of the atom's non-commuting atoms dominate it."""
     c = K.index(atom_name)
-    nc = _noncommuting_idx(K, c)
+    return _joins_dominate(K, c, _noncommuting_idx(K, c))
+
+
+def _joins_dominate(K, c, nc):
+    """Whether every join of two of the atom ids nc lies above the id c."""
     for a in range(len(nc)):
         for b in range(a + 1, len(nc)):
             if not K.leq_idx(c, K.join_idx(nc[a], nc[b])):
@@ -262,7 +266,7 @@ def rn_report(rows, K=None):
                 "count_ok": len(nc) == (4 if role == "internal" else 6),
             }
             if role == "internal":
-                entry["pairwise_joins_dominate"] = claim1_join_check(K, nm)
+                entry["pairwise_joins_dominate"] = _joins_dominate(K, c, nc)
             witness = compactness_witness(K, c, nc)
             entry["witness"] = tuple(sorted(witness))
             entry["witness_ok"] = len(witness) <= 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from omlkit.hahn import (
     TypeClass,
     _ONE_SERIES,
     _cancel,
+    _digit,
     _exact_quotient,
+    _indices,
     _on_ring,
     _pack,
     _quotient_box,
@@ -259,6 +262,30 @@ def test_packed_limit_and_index_guards():
         parse_series("t[(-1:2)]")
     with pytest.raises(ParseError):
         parse_series("t[(0:2147483648)]")
+    # the gcd's joint shift spans both signs of an index: a span of 2^31 is
+    # refused, one just below it cancels (deflation keeps its degree small):
+    # (y + 1) / (1/y + 2) is (y^2 + y) / (2y + 1) in the shifted image
+    one = HahnSeries.constant(1)
+    for top, ok in ((2**30, False), (2**30 - 1, True)):
+        y = HahnSeries.term(1, GammaExp([(0, top)]))
+        a, b = y + one, HahnSeries.term(1, GammaExp([(0, -top)])) + one * 2
+        if ok:
+            assert _cancel(a, b, lazy=False) == (y * y + y, y * 2 + one)
+        else:
+            with pytest.raises(OverflowError):
+                _cancel(a, b, lazy=False)
+
+
+def test_native_gcd_raises_when_no_point_succeeds(monkeypatch):
+    # GCDHEU gives up after its evaluation points instead of returning a
+    # candidate that divides neither input
+    from omlkit import heugcd
+    from omlkit.errors import HeuristicGCDFailed
+
+    t0, one = HahnSeries.t(0), HahnSeries.constant(1)
+    monkeypatch.setattr(heugcd, "_MAX_POINTS", 0)
+    with pytest.raises(HeuristicGCDFailed):
+        _cancel((one + t0) * (one - t0), one + t0 * t0, lazy=False)
 
 
 # -- series against a plain coefficient dict ---------------------------------
@@ -444,7 +471,7 @@ def test_monomial_products_shift_and_rescale():
 
 def test_exact_quotient_recovers_the_cofactor():
     # b * q with negative exponents on both sides: the division returns q,
-    # series_ratio returns (q, 1), and the sympy path agrees on the value
+    # series_ratio returns (q, 1), and the gcd path agrees on the value
     rng = random.Random(14)
     negative = 0
     for _ in range(200):
@@ -465,7 +492,7 @@ def test_quotient_box_is_the_cofactor_bounding_box():
     for _ in range(200):
         b = _random_multiterm_series(rng)
         q = _random_nonzero_series(rng)
-        box = _quotient_box(_product(b, q), b)
+        box = _quotient_box(_product(b, q)._coeffs, b._coeffs)
         indices = sorted({i for s in (b, q) for g in s.support
                           for i, _ in g.items()})
         assert [i for i, _, _ in box] == indices
@@ -480,7 +507,7 @@ def test_exact_quotient_rejects_non_divisors():
     # a box that is empty, and one that the quotient terms leave
     assert _exact_quotient(one, one - t0) is None
     assert _exact_quotient(one + t0 * t0, one + t0) is None
-    # random pairs and near-multiples b * c + m; the sympy cancellation
+    # random pairs and near-multiples b * c + m; the gcd cancellation
     # confirms that none divides, and series_ratio falls back to it
     rng = random.Random(16)
     for _ in range(300):
@@ -493,6 +520,49 @@ def test_exact_quotient_rejects_non_divisors():
         assert series_ratio(a, b) == (ref_num, ref_den)
 
 
+def _sympy_on_ring(series_list, op, domain=None):
+    """Run a sympy sparse-polynomial operation on series, mapping results
+    back: the independent reference for the native ``_on_ring``.
+
+    The series are jointly shifted by a common monomial so all exponents are
+    nonnegative; results are returned unshifted, which for gcd and fraction
+    cancellation only changes representatives by a common monomial factor.
+    The ring is over QQ unless another sympy domain is given.
+    """
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    domain = domain or QQ
+    # the lowest digit of each index over every exponent
+    exponents = {e for s in series_list for e in s._coeffs}
+    indices = _indices(exponents)
+    low = {i: min(_digit(e, i) for e in exponents) for i in indices}
+    names = [f"x{i}" for i in indices] or ["x"]
+    R = ring(names, domain)[0]
+    width = len(names)
+
+    def monomial(e):
+        return tuple(_digit(e, i) - low[i] for i in indices) or (0,) * width
+
+    def to_poly(series):
+        return R.from_dict({
+            monomial(e): domain.convert(QQ(c, series._den))
+            for e, c in series._coeffs.items()
+        })
+
+    def to_series(poly):
+        return HahnSeries([
+            (GammaExp(zip(indices, exps)), Fraction(int(c.numerator),
+                                                    int(c.denominator)))
+            for exps, c in poly.terms()
+        ])
+
+    result = op(*(to_poly(s) for s in series_list))
+    if isinstance(result, tuple):
+        return tuple(to_series(p) for p in result)
+    return to_series(result)
+
+
 def test_series_gcd_with_a_monomial_is_one():
     rng = random.Random(17)
     one = HahnSeries.constant(1)
@@ -500,7 +570,7 @@ def test_series_gcd_with_a_monomial_is_one():
         m, x = _random_monomial(rng), _random_nonzero_series(rng)
         assert series_gcd(m, x) == one and series_gcd(x, m) == one
         # the polynomial gcd agrees up to a unit: it is a nonzero constant
-        ring_gcd = _on_ring([m, x], lambda pm, px: pm.gcd(px))
+        ring_gcd = _sympy_on_ring([m, x], lambda pm, px: pm.gcd(px))
         assert ring_gcd.is_constant() and ring_gcd
 
 
@@ -523,13 +593,18 @@ def test_on_ring_shifts_by_the_lowest_entry_of_each_index():
         indices = {i for g in exps for i in g.support}
         m = GammaExp((i, min(g(i) for g in exps)) for i in indices)
         positive += any(v > 0 for _, v in m.items())
-        images = _on_ring(series, lambda *polys: polys)
+        images = _sympy_on_ring(series, lambda *polys: polys)
         assert list(images) == [x.shift(-m) for x in series]
+        if len(series) == 2 and all(x.term_count > 1 for x in series):
+            # the native gcd works on the same image of the numerators
+            h, p, q = _on_ring(*series)
+            for x, cofactor in zip(series, (p, q)):
+                assert h * cofactor == (x * x._den).shift(-m)
     assert positive > 50
 
 
 def _ring_gcd(a, b):
-    return _on_ring([a, b], lambda pa, pb: pa.gcd(pb))
+    return _sympy_on_ring([a, b], lambda pa, pb: pa.gcd(pb))
 
 
 def _same_up_to_a_unit(a, b):
@@ -570,6 +645,63 @@ def test_series_gcd_without_a_dividing_argument_is_the_ring_gcd():
         assert _exact_quotient(a, g) is not None
         assert _exact_quotient(b, g) is not None
     assert seen > 80
+
+
+def _series_on(rng, indices, terms, spread):
+    """A series of at least two terms, each exponent on exactly the given
+    indices with entries in [-spread, spread]."""
+    while True:
+        s = HahnSeries([
+            (GammaExp((i, rng.randint(-spread, spread)) for i in indices),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(terms)
+        ])
+        if s.term_count > 1:
+            return s
+
+
+def test_native_gcd_and_cancel_match_sympy():
+    # the native heuristic gcd against sympy's ring gcd and cancellation on
+    # 1-4 indices with negative entries: pairs sharing a factor, pairs that
+    # are (almost always) coprime, integer content, and a few inputs of
+    # hundreds of terms
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(23)
+    shared = coprime = content = big = 0
+    for case in range(100):
+        n = 1 + case % 4
+        indices = sorted(rng.sample(range(8), n))
+        spread = 3 if n > 2 else 12 // n
+        terms = 20 if case % 24 in (2, 3) else rng.randint(2, 5)
+        d, x, y = (_series_on(rng, indices, terms, spread) for _ in range(3))
+        a, b = (d * x, d * y) if case % 3 else (x, y)
+        if case % 5 == 1:
+            a, b = a * a._den * 6, b * b._den * -4
+        big += max(a.term_count, b.term_count) >= 200
+
+        h, p, q = _on_ring(a, b)
+        na, nb = a * a._den, b * b._den
+        exps = [g for z in (a, b) for g in z.support]
+        m = GammaExp((i, min(g(i) for g in exps)) for i in indices)
+        assert h * p == na.shift(-m) and h * q == nb.shift(-m)
+        rh, rp, rq = _sympy_on_ring(
+            [na, nb], lambda f, g: f.cofactors(g), domain=ZZ)
+        sign = 1 if h == rh else -1
+        assert (h, p, q) == (rh * sign, rp * sign, rq * sign)
+        shared += h.term_count > 1
+        coprime += h.is_constant()
+        content += math.gcd(*h._coeffs.values()) > 1
+
+        num, den = _cancel(a, b, lazy=False)
+        ref_num, ref_den = _sympy_on_ring([a, b], lambda f, g: f.cancel(g))
+        if ref_den.term_count == 1:
+            ref_num, ref_den = _cancel(ref_num, ref_den, lazy=False)
+        assert (num, den) == (ref_num, ref_den)
+        if not any(_exact_quotient(u, v) is not None
+                   for u, v in ((a, b), (b, a))):
+            assert series_gcd(a, b) == _ring_gcd(a, b)
+    assert min(shared, coprime) > 25 and content > 10 and big >= 4
 
 
 def _general_sum(a, b):

@@ -89,10 +89,28 @@ def test_unread_private_name_detector():
 
 
 def test_cli_import_skips_networkx_and_sympy():
-    """Both load on first use only, so every CLI start stays cheap."""
+    """Neither loads at a CLI start: networkx loads on first use only, and
+    the package never imports sympy."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = ("import sys, omlkit.cli; "
             "print([m for m in ('networkx', 'sympy') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim, trials", [(2, 100), (3, 100), (4, 50)])
+def test_keller_runs_without_sympy(dim, trials):
+    """The series gcd is native: a keller run never imports sympy.  From
+    dim 3 on the run takes polynomial gcds, so the native module loads."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import contextlib, io, sys\n"
+            "from omlkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['keller', '--dim', '{dim}', "
+            f"'--trials', '{trials}'])\n"
+            "print(code, 'sympy' in sys.modules, "
+            "'omlkit.heugcd' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0", "False", str(dim > 2)]
