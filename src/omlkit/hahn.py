@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero, ParseError, TooLarge
 
 
 @total_ordering
@@ -217,6 +217,14 @@ def tclass(gamma):
 _WIDTH = 32
 _HALF = 1 << (_WIDTH - 1)
 _MASK = (1 << _WIDTH) - 1
+# The native gcd evaluates one variable at a time at an integer point x and
+# keeps the powers x^0 .. x^d for that variable's degree d, about d^2 / 2
+# digits of x; each later point is as long as the values the evaluations
+# before it produced.  So max(d) * prod(d + 1) over the deflated degrees
+# bounds what it holds, in digits of the first point, and _on_ring refuses
+# a pair above this many.  Keller reports at dims 2 to 4 stay below 400,000
+# and the test suite's other pairs below 1.7 million.
+MAX_GCD_SIZE = 1 << 24
 
 
 def _pack(gamma):
@@ -766,21 +774,27 @@ def _on_ring(a, b):
     the cofactors are exact.  All three come back over 1 and unshifted,
     which for gcd and fraction cancellation only changes representatives by
     a common monomial factor.  OverflowError if a shifted entry reaches
-    2^31.
+    2^31, and TooLarge, before any evaluation, if the deflated degrees
+    project more than MAX_GCD_SIZE digits.
     """
     from .heugcd import cofactors
 
     # (index, lowest entry, gcd j of the shifted entries) per index that
     # varies; dividing by j (deflation) reads x_i^j as one variable, which
     # gcds commute with, and keeps degrees and evaluation points small
-    columns = []
+    columns, degrees = [], []
     exponents = {*a._coeffs, *b._coeffs}
     for i in _indices(exponents):
         entries = [_digit(e, i) for e in exponents]
-        low = min(entries)
-        _checked(max(entries) - low)
+        low, high = min(entries), max(entries)
+        _checked(high - low)
         if step := math.gcd(*(d - low for d in entries)):
             columns.append((i, low, step))
+            degrees.append((high - low) // step)
+    size = max(degrees, default=0) * math.prod(d + 1 for d in degrees)
+    if size > MAX_GCD_SIZE:
+        raise TooLarge(f"a series gcd of degrees {degrees} projects {size} "
+                       f"evaluation digits, beyond the cap of {MAX_GCD_SIZE}")
 
     def pack(e):
         # the lowest index becomes the top digit, so that int order is lex

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoBounds, NotOML, TooLarge
-from .lattice import BoundedLattice, maximal_chains
+from .lattice import _BLOCK_BYTES, BoundedLattice, maximal_chains
 from .ortho import boolean_cliques, ortholattice
 
 DEFAULT_K_CAP = 200_000
@@ -47,9 +47,6 @@ DEFAULT_K_CAP = 200_000
 # kcommute_check (queries over the same pairs) raise TooLarge, before
 # allocating, above this many elements.
 MAX_DENSE_SIZE = 2048
-# The order check handles at most this many bytes per step, so the step's
-# temporaries stay in a core's cache.
-_BLOCK_BYTES = 1 << 19
 _UPPER = "upper-bound set has no least element"
 _LOWER = "lower-bound set has no greatest element"
 

@@ -22,6 +22,10 @@ from .errors import (
 )
 
 DEFAULT_MAX_SIZE = 4096
+# Blocked passes over x hold at most this many bytes in any one array of a
+# step, so a step's temporaries stay in a core's cache.  kalmbach's order
+# check shares it.
+_BLOCK_BYTES = 1 << 19
 
 
 class BoundedLattice:
@@ -99,31 +103,51 @@ class BoundedLattice:
         down_sizes = leq.sum(axis=0)
         ext = np.argsort(down_sizes, kind="stable")
         rext = ext[::-1]
-        up_ext = leq[:, ext]            # up-sets with columns in extension order
-        down_ext = leq.T[:, rext]       # down-sets, reversed extension order
+        # up-sets with columns in extension order, down-sets in the reverse;
+        # in C order, as a column gather would leave them in Fortran order
+        # and every row reduction would stride
+        up_ext = np.ascontiguousarray(leq[:, ext])
+        down_ext = np.ascontiguousarray(leq.T[:, rext])
+        up_sizes = leq.sum(axis=1)
 
         join = np.empty((n, n), dtype=np.int32)
         meet = np.empty((n, n), dtype=np.int32)
-        for x in range(n):
-            ub = up_ext[x] & up_ext     # (n, n) upper bounds of (x, y)
-            j = ext[ub.argmax(axis=1)]
-            # least upper bound exists iff every upper bound is above it
-            bad = (ub & ~up_ext[j]).any(axis=1)
-            if bad.any():
-                y = _least_name_index(names, np.where(bad)[0])
-                raise NotALattice("join", (names[x], names[y]))
-            join[x] = j
-            lb = down_ext[x] & down_ext
-            m = rext[lb.argmax(axis=1)]
-            bad = (lb & ~down_ext[m]).any(axis=1)
-            if bad.any():
-                y = _least_name_index(names, np.where(bad)[0])
-                raise NotALattice("meet", (names[x], names[y]))
-            meet[x] = m
+        for X in _blocks(n, n * n):
+            join[X], join_bad = _least_bounds(up_ext[X], up_ext, ext, up_sizes)
+            meet[X], meet_bad = _least_bounds(down_ext[X], down_ext, rext,
+                                              down_sizes)
+            failed = (join_bad | meet_bad).any(axis=1)
+            if failed.any():
+                i = int(failed.argmax())
+                op, bad = (("join", join_bad[i]) if join_bad[i].any()
+                           else ("meet", meet_bad[i]))
+                y = _least_name_index(names, np.flatnonzero(bad))
+                raise NotALattice(op, (names[X[i]], names[y]))
 
         strict = leq & ~np.eye(n, dtype=bool)
-        cover_matrix = strict & ~(strict.astype(np.uint8) @ strict.astype(np.uint8)).astype(bool)
+        cover_matrix = strict & ~(strict @ strict)
         return cls(names, leq, meet, join, bottom, top, ext, cover_matrix)
+
+
+def _blocks(n, per_x):
+    """range(n) cut into consecutive index arrays of as many x as fit
+    ``per_x`` bytes each in _BLOCK_BYTES, and never fewer than one."""
+    step = max(1, _BLOCK_BYTES // max(1, per_x))
+    return [np.arange(s, min(s + step, n)) for s in range(0, n, step)]
+
+
+def _least_bounds(rows, sets, order, sizes):
+    """Per x of ``rows`` and y: the first element of ``order`` in the bound
+    sets of both, and whether the common bounds have no least element.
+
+    ``rows`` and ``sets`` are bound sets (up-sets or down-sets) with columns
+    in ``order``, and ``sizes`` the set sizes by element.  A top (bottom)
+    exists, so the first common bound c is one, and by transitivity c's own
+    set lies inside the common bounds: they are equal iff their sizes are.
+    """
+    common = rows[:, None, :] & sets[None, :, :]
+    first = order[common.argmax(axis=2)]
+    return first, common.sum(axis=2, dtype=np.int32) != sizes[first]
 
 
 def _check_order_axioms(names, leq):
@@ -134,8 +158,7 @@ def _check_order_axioms(names, leq):
     if anti.any():
         a, b = np.argwhere(anti)[0]
         raise CycleDetected(f"antisymmetry fails at ({names[a]}, {names[b]})")
-    closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)).astype(bool)
-    if (closure & ~leq).any():
+    if ((leq @ leq) & ~leq).any():
         raise NotALattice("join", ("not", "transitive"))
 
 
@@ -156,29 +179,19 @@ def lattice_from_covers(names, cover_pairs, max_size=DEFAULT_MAX_SIZE):
     if n > max_size:
         raise TooLarge(f"{n} elements exceeds cap {max_size}")
     index = {nm: i for i, nm in enumerate(names)}
-    adj = np.zeros((n, n), dtype=bool)
+    below = np.zeros((n, n), dtype=bool)
     for a, b in cover_pairs:
         a, b = str(a), str(b)
         if a not in index or b not in index:
             raise NotALattice("join", ("unknown", a if a not in index else b))
-        adj[index[a], index[b]] = True
-    # cycle check by Kahn's algorithm
-    indeg = adj.sum(axis=0)
-    queue = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    indeg = indeg.copy()
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in np.where(adj[u])[0]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(int(v))
-    if seen != n:
+        below[index[a], index[b]] = True
+    # the strict closure by Boolean squaring: each round doubles the path
+    # length covered, and a cycle puts an element strictly below itself
+    while (closed := below | (below @ below)).sum() != below.sum():
+        below = closed
+    if below.diagonal().any():
         raise CycleDetected("cover relation contains a cycle")
-    leq = np.eye(n, dtype=bool) | adj
-    for k in range(n):
-        leq |= leq[:, k : k + 1] & leq[k : k + 1, :]
+    leq = below | np.eye(n, dtype=bool)
     return BoundedLattice.from_leq(names, leq, max_size=max_size)
 
 
@@ -271,85 +284,87 @@ class LatticePredicates:
     witnesses: dict = field(default_factory=dict, compare=False)
 
 
-def _triple_law_holds(L, lhs, rhs, guard=None):
-    """Check a table identity over all triples; return (ok, least witness)."""
-    n = L.n
-    arange = np.arange(n)
-    worst = None
-    for x in range(n):
-        left = lhs(x, arange)
-        right = rhs(x, arange)
-        viol = left != right
-        if guard is not None:
-            viol &= guard(x, arange)
+def _least(L, rank, viol, *axes):
+    """(key, names) of the least name tuple among the true entries of
+    ``viol``, whose axis k holds the elements ``axes[k]``: one argmin over
+    the key rank[x]·n^(k-1) + ... + rank[z], which orders tuples as their
+    names do.  The key array is int64, the size of ``viol``."""
+    key = np.zeros((), dtype=np.int64)
+    for k, ids in enumerate(axes):
+        key = key * L.n + rank[ids].reshape((-1,) + (1,) * (len(axes) - k - 1))
+    at = np.unravel_index(np.where(viol, key, np.iinfo(np.int64).max).argmin(),
+                          viol.shape)
+    return int(key[at]), tuple(L.names[ids[i]] for ids, i in zip(axes, at))
+
+
+def _verdict(found):
+    """(ok, least witness) from the per-block ``_least`` results."""
+    return (True, None) if not found else (False, min(found)[1])
+
+
+def _triple_law(L, rank, violations):
+    """Check a table identity over all triples; return (ok, least witness).
+
+    ``violations(X)`` gives the failing (x, y, z) for x in X as a bool
+    (len(X), n, n) array.
+    """
+    found = []
+    ids = np.arange(L.n)
+    for X in _blocks(L.n, L.n * L.n * rank.itemsize):
+        viol = violations(X)
         if viol.any():
-            ys, zs = np.where(viol)
-            cand = min(
-                ((L.names[x], L.names[y], L.names[z]) for y, z in zip(ys, zs))
-            )
-            if worst is None or cand < worst:
-                worst = cand
-    return worst is None, worst
+            found.append(_least(L, rank, viol, X, ids, ids))
+    return _verdict(found)
 
 
-def _modular(L):
+def _modular(L, rank):
     meet, join, leq = L.meet, L.join, L.leq
-    n = L.n
+    ids = np.arange(L.n)
 
-    def lhs(x, _):
-        return join[x][meet]                      # x v (y ^ z)
+    def violations(X):
+        lhs = join[X[:, None, None], meet]            # x v (y ^ z)
+        rhs = meet[join[X][:, :, None], ids]          # (x v y) ^ z
+        return (lhs != rhs) & leq[X][:, None, :]      # where x <= z
 
-    def rhs(x, _):
-        return meet[join[x]][:, np.arange(n)]     # (x v y) ^ z
-
-    def guard(x, _):
-        return np.broadcast_to(leq[x], (n, n))    # x <= z, z varies on axis 1
-
-    return _triple_law_holds(L, lhs, rhs, guard)
+    return _triple_law(L, rank, violations)
 
 
-def _distributive(L):
+def _distributive(L, rank):
     meet, join = L.meet, L.join
-    n = L.n
 
-    def lhs(x, _):
-        return meet[x][join]                      # x ^ (y v z)
+    def violations(X):
+        mx = meet[X]                                  # x ^ y per y
+        return (meet[X[:, None, None], join]          # x ^ (y v z)
+                != join[mx[:, :, None], mx[:, None, :]])  # (x^y) v (x^z)
 
-    def rhs(x, _):
-        mx = meet[x]                              # x ^ y per y
-        return join[mx[:, None], mx[None, :]]     # (x^y) v (x^z)
-
-    return _triple_law_holds(L, lhs, rhs)
+    return _triple_law(L, rank, violations)
 
 
-def _semimodular(L, dual=False):
+def _semimodular(L, rank, dual=False):
     cov = L.cover_matrix.T if dual else L.cover_matrix
     op1 = L.join if dual else L.meet
     op2 = L.meet if dual else L.join
-    n = L.n
-    worst = None
-    for a in range(n):
-        hyp = cov[op1[a], a]                      # a^b <. a   (per b)
-        concl = cov[np.arange(n), op2[a]]         # b <. a v b
+    ids = np.arange(L.n)
+    found = []
+    for A in _blocks(L.n, L.n * ids.itemsize):
+        hyp = cov[op1[A], A[:, None]]                 # a^b <. a   (per b)
+        concl = cov[ids, op2[A]]                      # b <. a v b
         viol = hyp & ~concl
         if viol.any():
-            cand = min((L.names[a], L.names[b]) for b in np.where(viol)[0])
-            if worst is None or cand < worst:
-                worst = cand
-    return worst is None, worst
+            found.append(_least(L, rank, viol, A, ids))
+    return _verdict(found)
 
 
-def _has_covering(L):
-    atom_idx = np.where(L.cover_matrix[L.bottom])[0]
-    worst = None
-    for a in atom_idx:
-        j = L.join[a]
-        ok = (j == np.arange(L.n)) | L.cover_matrix[np.arange(L.n), j]
-        if not ok.all():
-            cand = min((L.names[a], L.names[x]) for x in np.where(~ok)[0])
-            if worst is None or cand < worst:
-                worst = cand
-    return worst is None, worst
+def _has_covering(L, rank):
+    atom_idx = np.flatnonzero(L.cover_matrix[L.bottom])
+    ids = np.arange(L.n)
+    found = []
+    for A in _blocks(len(atom_idx), L.n * ids.itemsize):
+        j = L.join[atom_idx[A]]                       # a v x per x
+        viol = (j != ids) & ~L.cover_matrix[ids, j]   # x < a v x, not covered
+        if viol.any():
+            found.append(_least(L, rank, viol, atom_idx[A], ids))
+    return _verdict(found)
 
 
 def predicates(L):
@@ -360,66 +375,58 @@ def predicates(L):
     """
     n = L.n
     w = {}
+    ids = np.arange(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=L.names.__getitem__)] = ids
     atom_mask = L.cover_matrix[L.bottom]
     nonzero = np.ones(n, dtype=bool)
     nonzero[L.bottom] = False
+    strict = L.leq & ~np.eye(n, dtype=bool)
 
-    mod_ok, mod_w = _modular(L)
-    dist_ok, dist_w = _distributive(L)
-    semi_ok, semi_w = _semimodular(L)
-    dsemi_ok, dsemi_w = _semimodular(L, dual=True)
-    covp_ok, covp_w = _has_covering(L)
+    mod_ok, mod_w = _modular(L, rank)
+    dist_ok, dist_w = _distributive(L, rank)
+    semi_ok, semi_w = _semimodular(L, rank)
+    dsemi_ok, dsemi_w = _semimodular(L, rank, dual=True)
+    covp_ok, covp_w = _has_covering(L, rank)
 
     # atomic: every nonzero element has an atom beneath it
-    has_atom_below = L.leq[atom_mask].any(axis=0)
-    atomic_viol = nonzero & ~has_atom_below
+    atoms_below = L.leq[atom_mask].sum(axis=0)
+    atomic_viol = nonzero & (atoms_below == 0)
     atomic_ok = not atomic_viol.any()
     if not atomic_ok:
-        w["is_atomic"] = (min(L.names[i] for i in np.where(atomic_viol)[0]),)
+        w["is_atomic"] = _least(L, rank, atomic_viol, ids)[1]
 
-    # atomistic: x equals the join of the atoms beneath it
-    atomistic_ok = True
-    for x in sorted(range(n), key=lambda i: L.names[i]):
-        acc = L.bottom
-        for a in np.where(atom_mask & L.leq[:, x])[0]:
-            acc = L.join[acc, a]
-        if acc != x:
-            atomistic_ok = False
-            w["is_atomistic"] = (L.names[x],)
-            break
+    # atomistic: x equals the join j of the atoms beneath it.  j <= x and the
+    # same atoms lie beneath j, so x fails iff some y < x has as many atoms
+    # beneath it as x has (y < x makes its atoms a subset of x's)
+    same = atoms_below[:, None] == atoms_below[None, :]
+    atomistic_viol = (strict & same).any(axis=0)
+    atomistic_ok = not atomistic_viol.any()
+    if not atomistic_ok:
+        w["is_atomistic"] = _least(L, rank, atomistic_viol, ids)[1]
 
-    # weakly atomic: every nontrivial interval contains a cover
-    cover_in = np.zeros((n, n), dtype=bool)
-    for u, v in np.argwhere(L.cover_matrix):
-        cover_in |= L.leq[:, u : u + 1] & L.leq[v : v + 1, :]
-    strict = L.leq & ~np.eye(n, dtype=bool)
+    # strongly atomic: every interval [x,y] has an atom, i.e. a cover of x
+    # below y; weakly atomic: every nontrivial interval contains a cover
+    cover_of_x_below = L.cover_matrix @ L.leq
+    cover_in = L.leq @ cover_of_x_below
     wa_viol = strict & ~cover_in
     wa_ok = not wa_viol.any()
     if not wa_ok:
-        w["is_weakly_atomic"] = min(
-            (L.names[a], L.names[b]) for a, b in np.argwhere(wa_viol)
-        )
-
-    # strongly atomic: every interval [x,y] has an atom, i.e. a cover of x below y
-    cover_of_x_below = np.zeros((n, n), dtype=bool)
-    for u, v in np.argwhere(L.cover_matrix):
-        cover_of_x_below[u] |= L.leq[v]
+        w["is_weakly_atomic"] = _least(L, rank, wa_viol, ids, ids)[1]
     sa_viol = strict & ~cover_of_x_below
     sa_ok = not sa_viol.any()
     if not sa_ok:
-        w["is_strongly_atomic"] = min(
-            (L.names[a], L.names[b]) for a, b in np.argwhere(sa_viol)
-        )
+        w["is_strongly_atomic"] = _least(L, rank, sa_viol, ids, ids)[1]
 
     # complemented
     compl_ok = True
     has_compl = ((L.meet == L.bottom) & (L.join == L.top)).any(axis=1)
     if not has_compl.all():
         compl_ok = False
-        w["is_complemented"] = (min(L.names[i] for i in np.where(~has_compl)[0]),)
+        w["is_complemented"] = _least(L, rank, ~has_compl, ids)[1]
 
     # relatively complemented
-    relcompl_ok, relcompl_w = _relatively_complemented(L)
+    relcompl_ok, relcompl_w = _relatively_complemented(L, rank)
 
     if not mod_ok:
         w["is_modular"] = mod_w
@@ -450,22 +457,19 @@ def predicates(L):
     )
 
 
-def _relatively_complemented(L):
+def _relatively_complemented(L, rank):
     n = L.n
-    worst = None
-    for a in range(n):
-        # pairs (meet(a,b), join(a,b)) realizable over all b
-        realizable = np.zeros((n, n), dtype=bool)
-        realizable[L.meet[a], L.join[a]] = True
-        need = L.leq[:, a : a + 1] & L.leq[a : a + 1, :]   # x <= a <= y
+    found = []
+    ids = np.arange(n)
+    for A in _blocks(n, n * n * rank.itemsize):
+        # pairs (meet(a,b), join(a,b)) realizable over all b, per a
+        realizable = np.zeros((len(A), n, n), dtype=bool)
+        realizable[np.arange(len(A))[:, None], L.meet[A], L.join[A]] = True
+        need = L.leq[:, A].T[:, :, None] & L.leq[A][:, None, :]  # x <= a <= y
         viol = need & ~realizable
         if viol.any():
-            cand = min(
-                (L.names[x], L.names[a], L.names[y]) for x, y in np.argwhere(viol)
-            )
-            if worst is None or cand < worst:
-                worst = cand
-    return worst is None, worst
+            found.append(_least(L, rank, viol.transpose(1, 0, 2), ids, A, ids))
+    return _verdict(found)
 
 
 # -- compact elements ---------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from omlkit.errors import DivisionByZero, ParseError
+from omlkit.errors import DivisionByZero, ParseError, TooLarge
+from omlkit import hahn
 from omlkit.hahn import (
     GAMMA_ZERO,
     INF,
@@ -286,6 +288,45 @@ def test_native_gcd_raises_when_no_point_succeeds(monkeypatch):
     monkeypatch.setattr(heugcd, "_MAX_POINTS", 0)
     with pytest.raises(HeuristicGCDFailed):
         _cancel((one + t0) * (one - t0), one + t0 * t0, lazy=False)
+
+
+def _x(*terms):
+    """The sum of c·t0^d over the (c, d) in terms."""
+    return sum((HahnSeries.term(c, GammaExp([(0, d)])) for c, d in terms),
+               HahnSeries())
+
+
+def test_gcd_refuses_a_large_degree_before_evaluating():
+    # 2^30 - 1 and 2^30 share no factor, so deflation leaves degree 2^30 and
+    # the gcd would build powers of its point up to that degree
+    a = _x((1, 0), (1, 2**30 - 1), (1, 2**30))
+    b = _x((1, 0), (1, 2**30))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as info:
+            _on_ring(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert str(info.value) == (
+        f"a series gcd of degrees [{2**30}] projects {2**30 * (2**30 + 1)} "
+        f"evaluation digits, beyond the cap of {hahn.MAX_GCD_SIZE}")
+    with pytest.raises(TooLarge):
+        _cancel(a, b, lazy=False)
+
+
+def test_gcd_size_cap_is_inclusive(monkeypatch):
+    # (1 + x)^2 and 1 - x^2: degrees [2] project 2 * 3 = 6 digits; with
+    # t1 in both, degrees [2, 1] project 2 * 3 * 2 = 12
+    a, b = _x((1, 0), (2, 1), (1, 2)), _x((1, 0), (-1, 2))
+    monkeypatch.setattr(hahn, "MAX_GCD_SIZE", 6)
+    assert series_gcd(a, b) == _x((1, 0), (1, 1))
+    with pytest.raises(TooLarge):
+        series_gcd(a * HahnSeries.t(1), b + HahnSeries.t(1))
+    monkeypatch.setattr(hahn, "MAX_GCD_SIZE", 5)
+    with pytest.raises(TooLarge):
+        series_gcd(a, b)
 
 
 # -- series against a plain coefficient dict ---------------------------------

@@ -88,6 +88,73 @@ def test_unread_private_name_detector():
                                            (12, "_fetch"), (14, "_Gone")]
 
 
+_NARROW_INTS = {"int8", "uint8", "int16", "uint16", "byte", "ubyte", "short",
+                "ushort"}
+_NARROW_CODES = {"i1", "u1", "i2", "u2", "b", "B", "h", "H"}
+
+
+def _narrow_int(node):
+    """True if node names an integer dtype of fewer than 32 bits:
+    ``np.uint8``, ``numpy.int16``, ``"u1"`` and the like."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _NARROW_INTS
+    return (isinstance(node, ast.Constant)
+            and node.value in _NARROW_INTS | _NARROW_CODES)
+
+
+def _narrow_cast(node):
+    """True if node casts to a narrow integer dtype: ``a.astype(np.uint8)``,
+    ``np.asarray(a, dtype="u1")`` or ``np.uint8(a)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+        return bool(node.args) and _narrow_int(node.args[0])
+    return (_narrow_int(node.func)
+            or any(k.arg == "dtype" and _narrow_int(k.value)
+                   for k in node.keywords))
+
+
+def _narrow_products(tree):
+    """Lines of matrix products (``@``, ``np.matmul``, ``np.dot``) with an
+    operand cast to a narrow integer dtype, whose sums wrap: a count of
+    256 paths is 0 in 8 bits."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("matmul", "dot")):
+            operands = [*node.args, *(k.value for k in node.keywords)]
+            if isinstance(node.func.value, ast.Call):
+                operands.append(node.func.value)  # a.astype(...).dot(b)
+        else:
+            continue
+        if any(_narrow_cast(op) for op in operands):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_matrix_products_in_narrow_integers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _narrow_products(tree) == []
+
+
+def test_narrow_product_detector():
+    tree = ast.parse("a.astype(np.uint8) @ b\n"
+                     "a @ b.astype(numpy.int16)\n"
+                     "np.matmul(np.asarray(a, dtype='u1'), b)\n"
+                     "np.dot(a, np.int8(b))\n"
+                     "a.astype(np.uint8).dot(b)\n"
+                     "a @ b\n"
+                     "a.astype(np.int32) @ b.astype(np.int64)\n"
+                     "np.matmul(a.astype(bool), b)\n"
+                     "c = a.astype(np.uint8)\n"
+                     "np.dot(a, np.asarray(b, dtype=np.uint32))\n"
+                     "a.astype(self.b) @ b\n")
+    assert _narrow_products(tree) == [1, 2, 3, 4, 5]
+
+
 def test_cli_import_skips_networkx_and_sympy():
     """Neither loads at a CLI start: networkx loads on first use only, and
     the package never imports sympy."""
