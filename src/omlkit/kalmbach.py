@@ -21,8 +21,11 @@ the tests and how many were comparable.
 
 K keeps each element as its padded terms and its term mask, with no
 per-element Python objects: a name is built when it is read, and
-``KalmbachOML.index`` parses a name back to a mask and finds it by one
-sorted search.
+``KalmbachOML.index`` parses a name back to a mask and finds it in an
+index of the masks.  Meets and joins find their results in an index of the
+signatures.  An index over at least ``_HASH_MIN_ROWS`` one-word keys is an
+open-addressing hash table; a smaller or wider one is a sorted array read
+by binary search.
 
 In an OML, z -> z ^ x' maps [x, y] onto [0, y ^ x'] (Kalmbach, *Orthomodular
 Lattices*, 1983), so ``interval_heights`` reads interval heights from one
@@ -176,22 +179,117 @@ def _mask(n, elements):
     return _pack(bits)
 
 
-def _sort_index(sig):
-    """The rows of a (n, w) word array in key order, and their sorted keys."""
+# An index over at least this many one-word rows is a hash table; a smaller
+# or wider one is sorted.  Timed over whole `check --kalmbach` runs, the table
+# lost on nine of ten K of 64 elements or fewer, where a probe's numpy calls
+# cost more than a binary search, and won on all thirteen from 96 elements up
+# (CHANGES.md).
+_HASH_MIN_ROWS = 128
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _Sorted(NamedTuple):
+    """The rows in key order (a stable sort) and their sorted keys."""
+
+    ids: np.ndarray
+    keys: np.ndarray
+
+    def find(self, keys):
+        """The least row with each key of an array, or None if one is
+        absent."""
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.ids) - 1)
+        return self.ids[pos] if (self.keys[pos] == keys).all() else None
+
+
+def _homes(keys, shift):
+    """The home slots (key * _GOLDEN) >> shift of a 1-d array of keys; a
+    shift of at least 1 leaves them below 2^63, so they read as intp."""
+    home = keys * _GOLDEN
+    home >>= shift
+    return home.view(np.intp)
+
+
+class _Hashed(NamedTuple):
+    """An open-addressing table of one-word keys.
+
+    The home slot of a key is (key * _GOLDEN) >> shift, one of
+    2^(64 - shift) >= 4 n slots.  Rows are placed by linear probing in the
+    order of their homes, ties by row, with no wrap-around: the table runs
+    on past the last occupied slot to one spare empty slot.  ``slots`` maps
+    a slot to its row, -1 when empty; ``keys`` are the rows' own keys, a
+    view of the indexed words, not a copy.
+    """
+
+    slots: np.ndarray
+    keys: np.ndarray
+    shift: np.uint64
+
+    @classmethod
+    def build(cls, keys):
+        n = len(keys)
+        bits = (n - 1).bit_length() + 2
+        shift = np.uint64(64 - bits)
+        home = _homes(keys, shift)
+        order = np.argsort(home, kind="stable")
+        i = np.arange(n)
+        pos = np.maximum.accumulate(home[order] - i) + i
+        slots = np.full(max(1 << bits, int(pos[-1]) + 1) + 1, -1, np.int32)
+        slots[pos] = order
+        return cls(slots, keys, shift)
+
+    def find(self, keys):
+        """The least row with each key of an array, or None if one is absent.
+
+        Each key is compared with the row in its home slot, and the misses
+        step one slot on in vectorised rounds until a hit; a miss at an
+        empty slot means the key is absent.  The -1 of an empty slot reads
+        the last row's key, which no absent key equals, and which a present
+        key meets only at its own slot, as its run holds no empty slot.
+        """
+        want = np.ravel(keys)
+        pos = _homes(want, self.shift)
+        ids = self.slots[pos]
+        miss = np.flatnonzero(self.keys[ids] != want)
+        at, pos = ids[miss], pos[miss]
+        while len(miss):
+            if (at < 0).any():
+                return None
+            pos += 1
+            at = self.slots[pos]
+            hit = self.keys[at] == want[miss]
+            ids[miss[hit]] = at[hit]
+            miss, pos, at = miss[~hit], pos[~hit], at[~hit]
+        return ids.astype(np.intp).reshape(np.shape(keys))
+
+
+def _index(sig):
+    """The index that ``_search`` finds the rows of a (n, w) word array by:
+    a hash table of the rows' keys when w = 1 and n >= _HASH_MIN_ROWS, else
+    the rows sorted by key.  It holds the words, not their owner."""
     keys = _keys(sig)
+    if sig.shape[1] == 1 and len(sig) >= _HASH_MIN_ROWS:
+        return _Hashed.build(keys)
     ids = np.argsort(keys, kind="stable")
-    return ids, keys[ids]
+    return _Sorted(ids, keys[ids])
 
 
 def _search(index, sig, message):
-    """The ids, by a ``_sort_index`` index, of the rows with the words in the
-    (..., w) array sig; raises AssertionError(message) if one has none."""
-    ids, sorted_keys = index
-    keys = _keys(sig)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(ids) - 1)
-    if not (sorted_keys[pos] == keys).all():
+    """The ids, by an ``_index`` index, of the rows with the words in the
+    (..., w) array sig; raises AssertionError(message) if one has none.  Of
+    several equal rows the least id is found."""
+    ids = index.find(_keys(sig))
+    if ids is None:
         raise AssertionError(message)
-    return ids[pos]
+    return ids
+
+
+def _equal_rows(index, sig):
+    """(x, y), x < y, with equal words in the (n, w) array that ``index``
+    indexes, the least such y and the least x; None when the rows are
+    distinct.  Every row finds itself unless an equal row comes first."""
+    found = _search(index, sig, "an indexed row is missing")
+    other = np.flatnonzero(found != np.arange(len(sig)))
+    return (int(found[other[0]]), int(other[0])) if len(other) else None
 
 
 def _intervals(L):
@@ -297,14 +395,14 @@ class KalmbachOML:
     leq_idx, join_idx, meet_idx, bottom, top) so generic helpers such as
     compactness_witness work on it directly.  ``signatures`` is the (n, w)
     little-endian uint64 array of the element signatures, bit k of row x set
-    when the k-th atom lies below x; assigning it rebuilds the sorted
-    lookup that meets and joins go through.  The elements are the rows of
-    ``terms`` and ``masks``, the padded terms and the term masks of
+    when the k-th atom lies below x; assigning it rebuilds the ``_index``
+    that meets and joins find their results in.  The elements are the rows
+    of ``terms`` and ``masks``, the padded terms and the term masks of
     ``_even_chains`` (bit e of row x set when e is a term of x); K keeps no
     per-element Python object.  ``names`` is a sequence that builds each
     name when read, ``seqs`` the term tuples, built on first use, and
-    ``index`` finds a name by the mask of its terms in the sorted masks,
-    the index that perp, ``bottom`` and ``top`` are found by.
+    ``index`` finds a name by the mask of its terms in the ``_index`` of the
+    masks, the index that perp, ``bottom`` and ``top`` are found by.
     """
 
     def __init__(self, base, terms, masks, signatures, max_chains):
@@ -313,7 +411,7 @@ class KalmbachOML:
         self.masks = masks
         self.names = _Names(base, terms)
         self.signatures = signatures
-        self._mask_index = _sort_index(masks)
+        self._mask_index = _index(masks)
         bounds = _mask(base.n, (base.bottom, base.top))
         self.perp_idx = _search(self._mask_index, masks ^ bounds,
                                 "a sequence has no orthocomplement")
@@ -332,7 +430,7 @@ class KalmbachOML:
     @signatures.setter
     def signatures(self, sig):
         self._signatures = sig
-        self._sig_index = _sort_index(sig)
+        self._sig_index = _index(sig)
         self._forget()
 
     @property
@@ -363,12 +461,12 @@ class KalmbachOML:
     def index(self, name):
         """The id of the element named ``name``.
 
-        The name is parsed to its terms, whose mask is found by one search
-        over the sorted masks.  Raises KeyError when a term is no base name,
-        when the terms are no element, or when they are one but ``names``
-        spells it otherwise, as for terms out of order.  When a base name
-        holds a comma, the name cannot be split into terms and is looked up
-        in ``names`` one by one.
+        The name is parsed to its terms, whose mask is found by one lookup
+        in the index of the masks.  Raises KeyError when a term is no base
+        name, when the terms are no element, or when they are one but
+        ``names`` spells it otherwise, as for terms out of order.  When a
+        base name holds a comma, the name cannot be split into terms and is
+        looked up in ``names`` one by one.
         """
         base = self.base
         if any("," in nm for nm in base.names):
@@ -414,7 +512,7 @@ class KalmbachOML:
         sig, perp = self.signatures, self.perp_idx
         js = perp[_search(self._sig_index, sig[perp[xs]] & sig[perp[ys]],
                           _UPPER)]
-        if not (self.leq_batch(xs, js) & self.leq_batch(ys, js)).all():
+        if ((sig[xs] | sig[ys]) & ~sig[js]).any():
             raise AssertionError(_UPPER)
         return js
 
@@ -516,15 +614,15 @@ class KalmbachOML:
         (b) A_x is the union of the A_(x_i) over the intervals i of x.
         Together they prove A_x <= A_y iff A_(x_i) <= A_y for every interval
         i of x, iff every such i lies in inside[y], iff x <= y.  Raises
-        AssertionError at the first equal pair of signatures, else at the
-        first pair (x_i, y) failing (a), a block of intervals at a time,
-        else at the first x failing (b): at the first y where the orders
-        differ on (x, y), or at x alone if there is none.
+        AssertionError at the pair (x, y) of equal signatures with the least
+        y and then the least x < y, else at the first pair (x_i, y) failing
+        (a), a block of intervals at a time, else at the first x failing
+        (b): at the first y where the orders differ on (x, y), or at x alone
+        if there is none.
         """
-        order, keys = self._sig_index
-        same = np.flatnonzero(keys[1:] == keys[:-1])
-        if len(same):
-            x, y = order[same[0]], order[same[0] + 1]
+        same = _equal_rows(self._sig_index, self.signatures)
+        if same is not None:
+            x, y = same
             raise AssertionError(
                 f"equal signatures at ({self.names[x]}, {self.names[y]})")
         ivals, inside = _kleq_tables(self.base, lo, hi)
@@ -627,15 +725,15 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
 
     Raises TooLarge, before enumerating anything, when the even-length-chain
     count exceeds ``cap``.  One ``_even_chains`` call gives ``K.terms``, the
-    interval ends and ``K.masks``; x' is found by one sorted search for the
-    mask of x XOR {bottom, top}.  No name or term tuple is built: names are
-    built when read.  The signatures are built from the definition, one
-    table row per interval of L holding the covers inside it, OR-ed over the
-    intervals of each x: bit k of x says that the k-th cover of L lies
-    inside an interval of x.  They are checked distinct, and their
-    inclusion is checked against the definition on all pairs, by one test
-    per (interval of L, element) and the union identity of
-    ``check_order_against_definition``; ``K.order_check`` keeps the
+    interval ends and ``K.masks``; x' is found by one lookup of the mask of
+    x XOR {bottom, top} in the index of the masks.  No name or term tuple
+    is built: names are built when read.  The signatures are built from
+    the definition, one table row per interval of L holding the covers
+    inside it, OR-ed over the intervals of each x: bit k of x says that the
+    k-th cover of L lies inside an interval of x.  They are checked
+    distinct, and their inclusion is checked against the definition on all
+    pairs, by one test per (interval of L, element) and the union identity
+    of ``check_order_against_definition``; ``K.order_check`` keeps the
     ``OrderCheck`` record.  The orthomodular law is then checked
     exhaustively by ``check_orthomodular``, one pass over (element, atom)
     pairs.
@@ -662,7 +760,7 @@ def kalmbach(L, cap=DEFAULT_K_CAP):
 
 def katoms_check(K):
     """Atoms of K(L) are exactly the two-term sequences over covers of L,
-    found by one search of the masks of the covers over K's masks."""
+    found by one lookup of the masks of the covers in K's index of masks."""
     L = K.base
     c, d = np.nonzero(L.cover_matrix)
     bits = np.zeros((len(c), L.n), dtype=bool)

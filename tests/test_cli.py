@@ -462,6 +462,14 @@ def test_rn_report_golden_text(capsys):
     assert capsys.readouterr().out == RN_REPORT_3
 
 
+def test_rn_report_rows4_digest(capsys):
+    # pins the whole rows 4 report, as the golden text pins rows 3
+    assert main(["rn", "--rows", "4", "--report"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "c9085dba5a619787f907aa96a75da95ebaed81cc1fe0fb0f9b05dca8f1dd9273")
+
+
 def test_rn_kalmbach_golden_digest(capsys):
     # pins the emitted K(rn 2), its elements in id order among the rest
     assert main(["rn", "--rows", "2", "--kalmbach"]) == 0

@@ -19,6 +19,7 @@ from omlkit.kalmbach import (
     OrderCheck,
     _even_chains,
     _kleq_tables,
+    _search,
     _signatures,
     _unpack,
     kalmbach,
@@ -537,6 +538,21 @@ def _order_message(K, pair):
     return re.escape(f"order mismatch at ({K.names[i]}, {K.names[j]})")
 
 
+def _caught_equal_signatures(bad, x, terms):
+    """Whether the signature of x, after a flip, equals that of another
+    element y; if so, the order check names the pair, lower id first."""
+    sig = bad.signatures[:, 0].tolist()
+    if len(set(sig)) == bad.n:
+        return False
+    y = next(y for y in range(bad.n) if y != x and sig[y] == sig[x])
+    first, second = sorted((x, y))
+    message = re.escape(f"equal signatures at ({bad.names[first]}, "
+                        f"{bad.names[second]})")
+    with pytest.raises(AssertionError, match=message):
+        _check_order(bad, terms)
+    return True
+
+
 def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
     # every cover bit and the first unused bit of every element of every
     # corpus K of at most 200 elements, flipped one at a time: while the
@@ -557,14 +573,7 @@ def test_order_check_catches_a_flipped_bit(kalmbach_corpus):
         assert K.signatures.shape[1] == 1 and covers < 64, nm
         for x, k in itertools.product(range(K.n), range(covers + 1)):
             bad = _flipped(K, x, k)
-            sig = bad.signatures[:, 0].tolist()
-            if len(set(sig)) < K.n:
-                y = next(y for y in range(K.n) if y != x and sig[y] == sig[x])
-                first, second = sorted((x, y))
-                message = re.escape(f"equal signatures at ({K.names[first]}, "
-                                    f"{K.names[second]})")
-                with pytest.raises(AssertionError, match=message):
-                    _check_order(bad, terms)
+            if _caught_equal_signatures(bad, x, terms):
                 outcomes.add("equal")
                 continue
             differs = bad.leq_batch(ids[:, None], ids) != kleq
@@ -876,6 +885,119 @@ def test_bound_check_rejects_an_empty_bound_set(kalmbach_corpus):
         bad.meet_idx(x, px)
     with pytest.raises(AssertionError, match=message):
         bad.meet_batch(ids[:, None], ids)
+
+
+def _hash_every_index(monkeypatch):
+    """Make every index of one-word keys that is built from now on a hash
+    table, however few its rows."""
+    monkeypatch.setattr(KALMBACH_MODULE, "_HASH_MIN_ROWS", 1)
+
+
+def test_bound_checks_on_the_hash_table(kalmbach_corpus, monkeypatch):
+    # the corpus K that these tests flip are below the table's size, so
+    # their flipped copies are rerun with every signature index hashed
+    _hash_every_index(monkeypatch)
+    K = kalmbach_corpus["2^3"]
+    assert isinstance(K._sig_index, KALMBACH_MODULE._Sorted)
+    assert isinstance(_flipped(K, 0, 0)._sig_index, KALMBACH_MODULE._Hashed)
+    test_bound_check_rejects_two_extreme_bounds(kalmbach_corpus)
+    test_bound_check_rejects_an_empty_bound_set(kalmbach_corpus)
+    test_lookups_are_checked_up_to_the_last_pair(kalmbach_corpus)
+
+
+def test_equal_signatures_are_caught_on_the_hash_table(kalmbach_corpus,
+                                                       monkeypatch):
+    # the "equal" arm of test_order_check_catches_a_flipped_bit, with every
+    # flipped signature index hashed
+    _hash_every_index(monkeypatch)
+    caught = 0
+    for K in kalmbach_corpus.values():
+        if K.n > 200:
+            continue
+        terms = _even_chains(K.base)[0]
+        covers = int(K.base.cover_matrix.sum())
+        for x, k in itertools.product(range(K.n), range(covers + 1)):
+            bad = _flipped(K, x, k)
+            assert isinstance(bad._sig_index, KALMBACH_MODULE._Hashed)
+            caught += _caught_equal_signatures(bad, x, terms)
+    assert caught
+
+
+def _dict_search(words, queries):
+    """The row of each one-word query, looked up in a dict of the rows."""
+    row_of = {}
+    for i, key in enumerate(words[:, 0].tolist()):
+        row_of.setdefault(key, i)
+    return np.vectorize(row_of.__getitem__, otypes=[np.intp])(queries[..., 0])
+
+
+def test_both_indexes_find_every_row(rn3, rn4, monkeypatch):
+    # every signature and mask of K(rn 3) and K(rn 4) is found at its own
+    # id, from shuffled queries in 1-D and 2-D shapes, by the hash table K
+    # holds and by a sorted index of the same words, as a dict finds it;
+    # so are the meets A_x & A_y over a (60, 50) broadcast of ids
+    rng = np.random.default_rng(0)
+    for K in (rn3[1], rn4[1]):
+        ids = rng.permutation(K.n)
+        grid = ids[:3000].reshape(60, 50)
+        xs, ys = ids[:60, None], ids[None, 60:110]
+        for words, held in ((K.signatures, K._sig_index),
+                            (K.masks, K._mask_index)):
+            monkeypatch.setattr(KALMBACH_MODULE, "_HASH_MIN_ROWS", K.n + 1)
+            ranked = KALMBACH_MODULE._index(words)
+            monkeypatch.undo()
+            assert isinstance(held, KALMBACH_MODULE._Hashed)
+            assert isinstance(ranked, KALMBACH_MODULE._Sorted)
+            assert (_dict_search(words, words[ids]) == ids).all()
+            queries = [words[ids], words[grid]]
+            if words is K.signatures:
+                queries.append(words[xs] & words[ys])
+            for index in (held, ranked):
+                for q in queries:
+                    got = _search(index, q, "absent")
+                    assert got.shape == q.shape[:-1]
+                    assert (got == _dict_search(words, q)).all()
+
+
+def _keys_at_homes(homes, shift):
+    """For each home slot in ``homes``, in order, a fresh key hashed there."""
+    candidates = np.arange(1, 1 << 16, dtype=np.uint64)
+    home_of = KALMBACH_MODULE._homes(candidates, np.uint64(shift))
+    pools = {h: iter(candidates[home_of == h].tolist()) for h in set(homes)}
+    return [next(pools[h]) for h in homes]
+
+
+def test_hash_table_on_crafted_keys(monkeypatch):
+    # 16 keys take 64 home slots (shift 58): three share home 10 and one
+    # more has home 11, a run over slots 10-13; three share home 63, the
+    # last home, and run on to slot 65 before the spare empty slot 66
+    _hash_every_index(monkeypatch)
+    homes = [10, 10, 10, 11, 63, 63, 63] + list(range(20, 29))
+    absent_homes = [40, 11, 12, 14, 63, 10]
+    keys = _keys_at_homes(homes + absent_homes, 58)
+    words = np.array(keys[:len(homes)], dtype=np.uint64)[:, None]
+    absent = keys[len(homes):]
+    table = KALMBACH_MODULE._index(words)
+    assert isinstance(table, KALMBACH_MODULE._Hashed)
+    assert table.shift == 58 and len(table.slots) == 67
+    assert table.slots[10:15].tolist() == [0, 1, 2, 3, -1]
+    assert table.slots[63:].tolist() == [4, 5, 6, -1]
+    assert table.slots[40] == -1
+    monkeypatch.undo()
+    ranked = KALMBACH_MODULE._index(words)
+    assert isinstance(ranked, KALMBACH_MODULE._Sorted)
+    order = np.random.default_rng(1).permutation(len(words))
+    for index in (table, ranked):
+        assert (_search(index, words[order], "absent") == order).all()
+        assert (_search(index, words[order.reshape(4, 4)], "absent")
+                == order.reshape(4, 4)).all()
+        for key in absent:
+            # the message is the caller's, whatever the key's home
+            query = np.array([[key]], dtype=np.uint64)
+            with pytest.raises(AssertionError, match="^no such row$"):
+                _search(index, query, "no such row")
+            with pytest.raises(AssertionError, match="^no such row$"):
+                _search(index, np.concatenate((words, query)), "no such row")
 
 
 def test_a_base_with_more_than_64_covers():

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from omlkit.cli import render_rn_report
 from omlkit.errors import RowsTooSmall
 from omlkit.kalmbach import KalmbachOML, OrderCheck, kalmbach
 from omlkit.lattice import compactness_witness
@@ -206,3 +209,6 @@ def test_rn_report_rows5():
         assert (report[key], report[key + "_witness"]) == (False, witness)
     for key in ("covering2", "covering2_truncated"):
         assert (report[key], report[key + "_witness"]) == (True, None)
+    # the text of `rn --rows 5 --report`, rendered from this K
+    assert hashlib.sha256(render_rn_report(report).encode()).hexdigest() == (
+        "3e0c96b3c91bd1d3015b49d3e2cd83831a530ca61dc88aefdd06167031c13d55")
