@@ -11,7 +11,7 @@ import argparse
 import functools
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import OmlkitError
 from .hahn import GammaExp, tclass
@@ -69,21 +69,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-_PREDICATE_ORDER = (
-    ("modular", "is_modular"),
-    ("semimodular", "is_semimodular"),
-    ("dual_semimodular", "is_dual_semimodular"),
-    ("covering", "has_covering"),
-    ("atomic", "is_atomic"),
-    ("atomistic", "is_atomistic"),
-    ("weakly_atomic", "is_weakly_atomic"),
-    ("strongly_atomic", "is_strongly_atomic"),
-    ("distributive", "is_distributive"),
-    ("complemented", "is_complemented"),
-    ("relatively_complemented", "is_relatively_complemented"),
-)
-
-
 def run_checks(doc, with_kalmbach=False):
     """Run every checker over a document, in fixed order, as a Report.
 
@@ -97,10 +82,9 @@ def run_checks(doc, with_kalmbach=False):
     L, OL = build_lattice(doc)
     entries.append(("lattice", True, ()))
     preds = predicates(L)
-    for label, attr in _PREDICATE_ORDER:
-        verdict = getattr(preds, attr)
-        witness = () if verdict else tuple(preds.witnesses.get(attr, ()))
-        entries.append((label, verdict, witness))
+    for attr in (f.name for f in fields(preds) if f.name != "witnesses"):
+        entries.append((attr.split("_", 1)[1], getattr(preds, attr),
+                        preds.witnesses.get(attr, ())))
     if OL is not None:
         entries.append(("ortholattice", True, ()))
         om_ok, om_w = is_orthomodular(OL)

@@ -507,21 +507,14 @@ class HahnScalar:
         self.num, self.den = _cancel(num, den)
 
     @classmethod
-    def _over_one(cls, num):
-        """Wrap num over the constant 1, skipping ``_cancel``.
-
-        ``_cancel`` returns such a pair unchanged, so the result is the one
-        the public constructor would build.
-        """
-        return cls._trusted(num, _ONE_SERIES)
-
-    @classmethod
     def _trusted(cls, num, den):
         """Wrap the pair num / den as it is, skipping ``_cancel``.
 
-        The caller guarantees that den is a nonzero series.  The pair need
-        not be in lowest terms: equality is by cross-multiplication and
-        valuation subtracts, so no operation depends on it.
+        The caller guarantees that den is a nonzero series, and that a den
+        equal to 1 is ``_ONE_SERIES`` itself: arithmetic tests "over 1" by
+        identity.  The pair need not be in lowest terms: equality is by
+        cross-multiplication and valuation subtracts, so no operation
+        depends on it.
         """
         out = cls.__new__(cls)
         out.num, out.den = num, den
@@ -540,8 +533,8 @@ class HahnScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if _is_one(self.den) and _is_one(other.den):
-            return HahnScalar._over_one(self.num + other.num)
+        if self.den is _ONE_SERIES and other.den is _ONE_SERIES:
+            return HahnScalar._trusted(self.num + other.num, _ONE_SERIES)
         if not other.num:
             return HahnScalar(self.num, self.den)
         if not self.num:
@@ -553,16 +546,16 @@ class HahnScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if _is_one(self.den):
-            return HahnScalar._over_one(-self.num)
+        if self.den is _ONE_SERIES:
+            return HahnScalar._trusted(-self.num, _ONE_SERIES)
         return HahnScalar(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if _is_one(self.den) and _is_one(other.den):
-            return HahnScalar._over_one(self.num - other.num)
+        if self.den is _ONE_SERIES and other.den is _ONE_SERIES:
+            return HahnScalar._trusted(self.num - other.num, _ONE_SERIES)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -575,8 +568,8 @@ class HahnScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if _is_one(self.den) and _is_one(other.den):
-            return HahnScalar._over_one(self.num * other.num)
+        if self.den is _ONE_SERIES and other.den is _ONE_SERIES:
+            return HahnScalar._trusted(self.num * other.num, _ONE_SERIES)
         return HahnScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -602,18 +595,12 @@ class HahnScalar:
         return bool(self.num._coeffs)
 
     def __repr__(self):
-        if _is_one(self.den):
+        if self.den is _ONE_SERIES:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
 
 _ONE_SERIES = HahnSeries.constant(1)
-
-
-def _is_one(series):
-    """Whether series is the constant 1."""
-    return series is _ONE_SERIES or (
-        series._den == 1 and series._coeffs == _ONE_SERIES._coeffs)
 
 
 def _cancel(num, den, lazy=True):

@@ -22,8 +22,8 @@ from .hahn import (
     GammaExp,
     HahnScalar,
     HahnSeries,
+    _exact_quotient,
     series_gcd,
-    series_ratio,
     tclass,
 )
 
@@ -277,8 +277,8 @@ def _reduce_vector(v):
     for c in v.coords:
         if c and c.den.term_count > 1:
             # multiply by den / gcd(scale, den), an exact lcm step
-            q, _ = series_ratio(c.den, series_gcd(scale, c.den))
-            scale = scale * q
+            scale = scale * _divide(c.den, series_gcd(scale, c.den),
+                                    "lcm step was not exact")
     # a stored denominator is 1 or has several terms (HahnScalar folds a
     # monomial one into the numerator), and only the latter needs a division
     nums = [
@@ -305,21 +305,19 @@ def _reduce_vector(v):
     if lead != 1:
         nums = [nm * (1 / lead) for nm in nums]
     return KVector._of(tuple(
-        HahnScalar._over_one(nm) if nm else _ZERO for nm in nums
+        HahnScalar._trusted(nm, _ONE_SERIES) if nm else _ZERO for nm in nums
     ))
 
 
 def _divide(a, b, message):
-    """a / b, for a series b that divides a up to a constant.
+    """a / b, for a series b that divides a, such as a gcd or lcm factor.
 
-    Raises AssertionError(message) when ``series_ratio`` leaves a
-    denominator that is not constant.
+    Raises AssertionError(message) when b does not divide a.
     """
-    q, r = series_ratio(a, b)
-    if not r.is_constant():
+    q = _exact_quotient(a, b)
+    if q is None:
         raise AssertionError(message)
-    lead = r.leading_coefficient()
-    return q if lead == 1 else q * (1 / lead)
+    return q
 
 
 def _det(matrix):

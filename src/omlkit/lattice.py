@@ -8,6 +8,7 @@ relation and the meet/join operations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +271,14 @@ def interval(L, x, y):
 
 @dataclass(frozen=True)
 class LatticePredicates:
+    """The structural flags of a lattice, one field per law.
+
+    The field order is the order in which ``omlkit check`` reports the laws,
+    each under its field name without the ``is_``/``has_`` prefix.
+    ``witnesses`` maps the name of each false field to its least witness
+    tuple of element names.
+    """
+
     is_modular: bool
     is_semimodular: bool
     is_dual_semimodular: bool
@@ -297,74 +306,26 @@ def _least(L, rank, viol, *axes):
     return int(key[at]), tuple(L.names[ids[i]] for ids, i in zip(axes, at))
 
 
-def _verdict(found):
-    """(ok, least witness) from the per-block ``_least`` results."""
+def _law(L, rank, viol, *axes):
+    """(ok, least witness) of a law whose failing tuples over ``axes`` are
+    the true entries of ``viol``."""
+    if not viol.any():
+        return True, None
+    return False, _least(L, rank, viol, *axes)[1]
+
+
+def _blocked_law(L, rank, axes, k, violations):
+    """(ok, least witness) of a law over the tuples of ``axes``, with axis k
+    cut into blocks: ``violations(B)`` gives the failing tuples for the
+    elements B of that axis, as a bool array over the axes."""
+    per_x = rank.itemsize * math.prod(map(len, axes[:k] + axes[k + 1:]))
+    found = []
+    for part in _blocks(len(axes[k]), per_x):
+        B = axes[k][part]
+        viol = violations(B)
+        if viol.any():
+            found.append(_least(L, rank, viol, *axes[:k], B, *axes[k + 1:]))
     return (True, None) if not found else (False, min(found)[1])
-
-
-def _triple_law(L, rank, violations):
-    """Check a table identity over all triples; return (ok, least witness).
-
-    ``violations(X)`` gives the failing (x, y, z) for x in X as a bool
-    (len(X), n, n) array.
-    """
-    found = []
-    ids = np.arange(L.n)
-    for X in _blocks(L.n, L.n * L.n * rank.itemsize):
-        viol = violations(X)
-        if viol.any():
-            found.append(_least(L, rank, viol, X, ids, ids))
-    return _verdict(found)
-
-
-def _modular(L, rank):
-    meet, join, leq = L.meet, L.join, L.leq
-    ids = np.arange(L.n)
-
-    def violations(X):
-        lhs = join[X[:, None, None], meet]            # x v (y ^ z)
-        rhs = meet[join[X][:, :, None], ids]          # (x v y) ^ z
-        return (lhs != rhs) & leq[X][:, None, :]      # where x <= z
-
-    return _triple_law(L, rank, violations)
-
-
-def _distributive(L, rank):
-    meet, join = L.meet, L.join
-
-    def violations(X):
-        mx = meet[X]                                  # x ^ y per y
-        return (meet[X[:, None, None], join]          # x ^ (y v z)
-                != join[mx[:, :, None], mx[:, None, :]])  # (x^y) v (x^z)
-
-    return _triple_law(L, rank, violations)
-
-
-def _semimodular(L, rank, dual=False):
-    cov = L.cover_matrix.T if dual else L.cover_matrix
-    op1 = L.join if dual else L.meet
-    op2 = L.meet if dual else L.join
-    ids = np.arange(L.n)
-    found = []
-    for A in _blocks(L.n, L.n * ids.itemsize):
-        hyp = cov[op1[A], A[:, None]]                 # a^b <. a   (per b)
-        concl = cov[ids, op2[A]]                      # b <. a v b
-        viol = hyp & ~concl
-        if viol.any():
-            found.append(_least(L, rank, viol, A, ids))
-    return _verdict(found)
-
-
-def _has_covering(L, rank):
-    atom_idx = np.flatnonzero(L.cover_matrix[L.bottom])
-    ids = np.arange(L.n)
-    found = []
-    for A in _blocks(len(atom_idx), L.n * ids.itemsize):
-        j = L.join[atom_idx[A]]                       # a v x per x
-        viol = (j != ids) & ~L.cover_matrix[ids, j]   # x < a v x, not covered
-        if viol.any():
-            found.append(_least(L, rank, viol, atom_idx[A], ids))
-    return _verdict(found)
 
 
 def predicates(L):
@@ -374,102 +335,74 @@ def predicates(L):
     ``witnesses``.
     """
     n = L.n
-    w = {}
+    meet, join, leq, cov = L.meet, L.join, L.leq, L.cover_matrix
     ids = np.arange(n)
     rank = np.empty(n, dtype=np.int64)
     rank[sorted(range(n), key=L.names.__getitem__)] = ids
-    atom_mask = L.cover_matrix[L.bottom]
-    nonzero = np.ones(n, dtype=bool)
-    nonzero[L.bottom] = False
-    strict = L.leq & ~np.eye(n, dtype=bool)
+    atom_idx = np.flatnonzero(cov[L.bottom])
+    strict = leq & ~np.eye(n, dtype=bool)
+    atoms_below = leq[atom_idx].sum(axis=0)
+    # a cover v of x with v <= y, per (x, y)
+    cover_of_x_below = cov @ leq
 
-    mod_ok, mod_w = _modular(L, rank)
-    dist_ok, dist_w = _distributive(L, rank)
-    semi_ok, semi_w = _semimodular(L, rank)
-    dsemi_ok, dsemi_w = _semimodular(L, rank, dual=True)
-    covp_ok, covp_w = _has_covering(L, rank)
+    def modular(X):
+        lhs = join[X[:, None, None], meet]            # x v (y ^ z)
+        rhs = meet[join[X][:, :, None], ids]          # (x v y) ^ z
+        return (lhs != rhs) & leq[X][:, None, :]      # where x <= z
 
-    # atomic: every nonzero element has an atom beneath it
-    atoms_below = L.leq[atom_mask].sum(axis=0)
-    atomic_viol = nonzero & (atoms_below == 0)
-    atomic_ok = not atomic_viol.any()
-    if not atomic_ok:
-        w["is_atomic"] = _least(L, rank, atomic_viol, ids)[1]
+    def semimodular(below, op1, op2):
+        # a ^ b <. a (per b), and not b <. a v b; the dual swaps ^ and v
+        # and reverses the covers
+        return lambda A: below[op1[A], A[:, None]] & ~below[ids, op2[A]]
 
-    # atomistic: x equals the join j of the atoms beneath it.  j <= x and the
-    # same atoms lie beneath j, so x fails iff some y < x has as many atoms
-    # beneath it as x has (y < x makes its atoms a subset of x's)
-    same = atoms_below[:, None] == atoms_below[None, :]
-    atomistic_viol = (strict & same).any(axis=0)
-    atomistic_ok = not atomistic_viol.any()
-    if not atomistic_ok:
-        w["is_atomistic"] = _least(L, rank, atomistic_viol, ids)[1]
+    def covering(A):
+        j = join[A]                                   # a v x per atom a, x
+        return (j != ids) & ~cov[ids, j]              # x < a v x, not covered
 
-    # strongly atomic: every interval [x,y] has an atom, i.e. a cover of x
-    # below y; weakly atomic: every nontrivial interval contains a cover
-    cover_of_x_below = L.cover_matrix @ L.leq
-    cover_in = L.leq @ cover_of_x_below
-    wa_viol = strict & ~cover_in
-    wa_ok = not wa_viol.any()
-    if not wa_ok:
-        w["is_weakly_atomic"] = _least(L, rank, wa_viol, ids, ids)[1]
-    sa_viol = strict & ~cover_of_x_below
-    sa_ok = not sa_viol.any()
-    if not sa_ok:
-        w["is_strongly_atomic"] = _least(L, rank, sa_viol, ids, ids)[1]
+    def distributive(X):
+        mx = meet[X]                                  # x ^ y per y
+        return (meet[X[:, None, None], join]          # x ^ (y v z)
+                != join[mx[:, :, None], mx[:, None, :]])  # (x^y) v (x^z)
 
-    # complemented
-    compl_ok = True
-    has_compl = ((L.meet == L.bottom) & (L.join == L.top)).any(axis=1)
-    if not has_compl.all():
-        compl_ok = False
-        w["is_complemented"] = _least(L, rank, ~has_compl, ids)[1]
-
-    # relatively complemented
-    relcompl_ok, relcompl_w = _relatively_complemented(L, rank)
-
-    if not mod_ok:
-        w["is_modular"] = mod_w
-    if not dist_ok:
-        w["is_distributive"] = dist_w
-    if not semi_ok:
-        w["is_semimodular"] = semi_w
-    if not dsemi_ok:
-        w["is_dual_semimodular"] = dsemi_w
-    if not covp_ok:
-        w["has_covering"] = covp_w
-    if not relcompl_ok:
-        w["is_relatively_complemented"] = relcompl_w
-
-    return LatticePredicates(
-        is_modular=mod_ok,
-        is_semimodular=semi_ok,
-        is_dual_semimodular=dsemi_ok,
-        has_covering=covp_ok,
-        is_atomic=atomic_ok,
-        is_atomistic=atomistic_ok,
-        is_weakly_atomic=wa_ok,
-        is_strongly_atomic=sa_ok,
-        is_distributive=dist_ok,
-        is_complemented=compl_ok,
-        is_relatively_complemented=relcompl_ok,
-        witnesses=w,
-    )
-
-
-def _relatively_complemented(L, rank):
-    n = L.n
-    found = []
-    ids = np.arange(n)
-    for A in _blocks(n, n * n * rank.itemsize):
-        # pairs (meet(a,b), join(a,b)) realizable over all b, per a
+    def relatively_complemented(A):
+        # per (x, a, y) with x <= a <= y: no b has a ^ b = x and a v b = y
         realizable = np.zeros((len(A), n, n), dtype=bool)
-        realizable[np.arange(len(A))[:, None], L.meet[A], L.join[A]] = True
-        need = L.leq[:, A].T[:, :, None] & L.leq[A][:, None, :]  # x <= a <= y
-        viol = need & ~realizable
-        if viol.any():
-            found.append(_least(L, rank, viol.transpose(1, 0, 2), ids, A, ids))
-    return _verdict(found)
+        realizable[np.arange(len(A))[:, None], meet[A], join[A]] = True
+        need = leq[:, A].T[:, :, None] & leq[A][:, None, :]
+        return (need & ~realizable).transpose(1, 0, 2)
+
+    laws = {
+        "is_modular": _blocked_law(L, rank, (ids, ids, ids), 0, modular),
+        "is_semimodular": _blocked_law(L, rank, (ids, ids), 0,
+                                       semimodular(cov, meet, join)),
+        "is_dual_semimodular": _blocked_law(L, rank, (ids, ids), 0,
+                                            semimodular(cov.T, join, meet)),
+        "has_covering": _blocked_law(L, rank, (atom_idx, ids), 0, covering),
+        # every nonzero element has an atom beneath it
+        "is_atomic": _law(L, rank, (ids != L.bottom) & (atoms_below == 0),
+                          ids),
+        # x equals the join j of the atoms beneath it.  j <= x and the same
+        # atoms lie beneath j, so x fails iff some y < x has as many atoms
+        # beneath it as x has (y < x makes its atoms a subset of x's)
+        "is_atomistic": _law(
+            L, rank,
+            (strict & (atoms_below[:, None] == atoms_below)).any(axis=0), ids),
+        # every nontrivial interval [x, y] contains a cover
+        "is_weakly_atomic": _law(L, rank, strict & ~(leq @ cover_of_x_below),
+                                 ids, ids),
+        # every nontrivial interval [x, y] has an atom, a cover of x below y
+        "is_strongly_atomic": _law(L, rank, strict & ~cover_of_x_below,
+                                   ids, ids),
+        "is_distributive": _blocked_law(L, rank, (ids, ids, ids), 0,
+                                        distributive),
+        "is_complemented": _law(
+            L, rank, ~((meet == L.bottom) & (join == L.top)).any(axis=1), ids),
+        "is_relatively_complemented": _blocked_law(
+            L, rank, (ids, ids, ids), 1, relatively_complemented),
+    }
+    witnesses = {name: w for name, (ok, w) in laws.items() if not ok}
+    return LatticePredicates(**{name: name not in witnesses for name in laws},
+                             witnesses=witnesses)
 
 
 # -- compact elements ---------------------------------------------------
@@ -490,8 +423,8 @@ def compactness_witness(L, c, S):
     KalmbachOML).  Ties are broken lexicographically on sorted name tuples.
     """
     c_idx = L.index(c) if isinstance(c, str) else c
-    s_idx = sorted((L.index(s) if isinstance(s, str) else s) for s in S)
-    s_idx.sort(key=lambda i: L.names[i])
+    s_idx = sorted((L.index(s) if isinstance(s, str) else s for s in S),
+                   key=lambda i: L.names[i])
     if not L.leq_idx(c_idx, join_of(L, s_idx)):
         raise NotBelowJoin(f"{L.names[c_idx]} is not below the join of S")
     for k in range(len(s_idx) + 1):

@@ -470,3 +470,11 @@ def test_reduce_vector_outputs_are_primitive_and_monic(monkeypatch):
         for c in v.coords:
             content = series_gcd(content, c.num)
         assert content.term_count == 1, v
+
+
+def test_divide_raises_on_a_pair_that_does_not_divide():
+    one, t0, t1 = HahnSeries.constant(1), HahnSeries.t(0), HahnSeries.t(1)
+    assert omlkit.keller._divide((one + t0) * (one + t1), one + t1, "m") == (
+        one + t0)
+    with pytest.raises(AssertionError, match="lcm step was not exact"):
+        omlkit.keller._divide(one + t0, one + t1, "lcm step was not exact")
