@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 from dataclasses import dataclass, fields
 
 from .errors import OmlkitError
-from .hahn import GammaExp, tclass
 from .kalmbach import (
     DEFAULT_K_CAP,
     kalmbach,
@@ -22,15 +20,7 @@ from .kalmbach import (
     kblocks_check,
     kcommute_check,
 )
-from .keller import (
-    anisotropy_check,
-    basis_vector,
-    ortho_complement,
-    pi_map,
-    random_nonzero_vector,
-    random_subspace,
-    type_of,
-)
+from .keller import keller_report
 from .latfile import (
     build_lattice,
     document_from_lattice,
@@ -107,59 +97,6 @@ def run_checks(doc, with_kalmbach=False):
         entries.append(("kblocks", kblocks_check(K), ()))
         entries.append(("kcommute", kcommute_check(K), ()))
     return Report(tuple(entries))
-
-
-# -- keller report ---------------------------------------------------------
-
-
-def _fmt_type(t):
-    inner = ",".join(str(i) for i in sorted(t.indices))
-    return f"T({inner})"
-
-
-def keller_report(dim, seed=0, trials=1000):
-    """Types of basis vectors, randomized law checks, and a pi-map table."""
-    lines = [f"ambient dimension: {dim}"]
-    for i in range(dim):
-        lines.append(f"type(e{i}) = {_fmt_type(type_of(basis_vector(dim, i)))}")
-
-    rng = random.Random(seed)
-    checks = []
-
-    fails = 0
-    for _ in range(trials):
-        f = random_nonzero_vector(rng, dim)
-        # anisotropy_check raises if its formula and the direct evaluation
-        # of <f, f> disagree
-        nonzero, _ = anisotropy_check(f)
-        if not nonzero:
-            fails += 1
-    checks.append(("anisotropy_formula", fails))
-
-    full = {tclass(GammaExp.delta(i)) for i in range(dim)}
-    fails = 0
-    for _ in range(trials):
-        X = random_subspace(rng, dim)
-        pX = pi_map(X, reshuffle_check=False)
-        pC = pi_map(ortho_complement(X), reshuffle_check=False)
-        if set(pX) | set(pC) != full or set(pX) & set(pC):
-            fails += 1
-    checks.append(("pi_complement_law", fails))
-
-    for name, failures in checks:
-        lines.append(
-            f"{name}: {'pass' if failures == 0 else 'fail'}"
-            f" ({trials} trials, {failures} failures)"
-        )
-
-    lines.append("pi-map table (sampled subspaces):")
-    rng = random.Random(seed)
-    for k in range(min(5, trials)):
-        X = random_subspace(rng, dim)
-        types = " ".join(sorted(_fmt_type(t) for t in pi_map(X)))
-        lines.append(f"  sample {k}: dim {X.dim} -> {{{types}}}")
-    ok = all(f == 0 for _, f in checks)
-    return "\n".join(lines) + "\n", ok
 
 
 # -- rn report ---------------------------------------------------------

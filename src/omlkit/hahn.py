@@ -489,8 +489,9 @@ class HahnSeries:
 class HahnScalar:
     """An exact fraction of finite-support series.
 
-    Equality is by cross-multiplication, so representatives need not be
-    reduced; valuation is the difference of the component valuations.
+    Equality is by cross-multiplication, or by the numerators alone when
+    both sides carry the same denominator object, so representatives need
+    not be reduced; valuation is the difference of the component valuations.
     """
 
     __slots__ = ("num", "den")
@@ -586,9 +587,17 @@ class HahnScalar:
         return self * other.invert()
 
     def __eq__(self, other):
+        """a / d == b / e iff a e == b d; when d is e, iff a == b.
+
+        Series equality is equality of canonical representations, so the
+        shared-denominator test is exact and multiplies nothing; that covers
+        every pair of scalars over 1, which share ``_ONE_SERIES``.
+        """
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.den is other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __bool__(self):

@@ -5,11 +5,12 @@ Vectors have HahnScalar coordinates over the basis e_0..e_{n-1}; the form is
 bilinear form.  It is anisotropic because the basis terms t_i have pairwise
 distinct residues mod 2Gamma, which forbids cancellation at the minimal
 exponent.  All linear algebra is exact Gaussian elimination over the scalar
-fraction field.
+fraction field.  ``keller_report`` renders the text of ``omlkit keller``.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .errors import (
@@ -270,9 +271,17 @@ def _reduce_vector(v):
     orthogonality and spans are scale-invariant, so downstream uses are
     unaffected, while the rescaling stops supports from compounding across
     chained operations.
+
+    A vector with one nonzero coordinate i reduces to e_i whatever that
+    coordinate is, since its content is itself; it is returned as
+    ``basis_vector(n, i)`` with no division.  Every path that divides
+    checks the division is exact.
     """
-    if not v:
+    nonzero = [i for i, c in enumerate(v.coords) if c]
+    if not nonzero:
         return v
+    if len(nonzero) == 1:
+        return basis_vector(v.dim, nonzero[0])
     scale = _ONE_SERIES
     for c in v.coords:
         if c and c.den.term_count > 1:
@@ -347,8 +356,13 @@ def orthogonalize(vectors):
     The k-th output is the vector-valued determinant whose first k - 1 rows
     are Gram rows and whose last row holds the input vectors; this is the
     classical Gram-Schmidt vector scaled to avoid division entirely, which
-    keeps exact supports determinant-sized.  Output vectors are reduced to
-    primitive form.  Raises DependentInput when the input is dependent.
+    keeps exact supports determinant-sized.  Inputs and outputs are reduced
+    to primitive form.  The first output is the first reduced input itself:
+    its cofactor is the empty determinant 1, and the input is already
+    reduced.  The minors read Gram rows 0..m-2 only, so the last diagonal
+    entry <v_{m-1}, v_{m-1}> is never evaluated.  Orthogonality and the
+    span are still checked on the whole output.  Raises DependentInput
+    when the input is dependent.
     """
     vectors = [_reduce_vector(v) for v in vectors]
     if not vectors:
@@ -360,11 +374,11 @@ def orthogonalize(vectors):
     # pair is evaluated once and mirrored
     m = len(vectors)
     gram = [[None] * m for _ in range(m)]
-    for r in range(m):
+    for r in range(m - 1):
         for c in range(r, m):
             gram[r][c] = gram[c][r] = form(vectors[r], vectors[c])
-    out = []
-    for k in range(len(vectors)):
+    out = [vectors[0]]
+    for k in range(1, m):
         g = None
         for i in range(k + 1):
             minor = [
@@ -530,3 +544,56 @@ def random_subspace(rng, n, max_dim=None, max_index=3):
         for _ in range(k)
     ]
     return Subspace(n, vs)
+
+
+# -- report ----------------------------------------------------------------
+
+
+def _fmt_type(t):
+    inner = ",".join(str(i) for i in sorted(t.indices))
+    return f"T({inner})"
+
+
+def keller_report(dim, seed=0, trials=1000):
+    """Types of basis vectors, randomized law checks, and a pi-map table."""
+    lines = [f"ambient dimension: {dim}"]
+    for i in range(dim):
+        lines.append(f"type(e{i}) = {_fmt_type(type_of(basis_vector(dim, i)))}")
+
+    rng = random.Random(seed)
+    checks = []
+
+    fails = 0
+    for _ in range(trials):
+        f = random_nonzero_vector(rng, dim)
+        # anisotropy_check raises if its formula and the direct evaluation
+        # of <f, f> disagree
+        nonzero, _ = anisotropy_check(f)
+        if not nonzero:
+            fails += 1
+    checks.append(("anisotropy_formula", fails))
+
+    full = {tclass(GammaExp.delta(i)) for i in range(dim)}
+    fails = 0
+    for _ in range(trials):
+        X = random_subspace(rng, dim)
+        pX = pi_map(X, reshuffle_check=False)
+        pC = pi_map(ortho_complement(X), reshuffle_check=False)
+        if set(pX) | set(pC) != full or set(pX) & set(pC):
+            fails += 1
+    checks.append(("pi_complement_law", fails))
+
+    for name, failures in checks:
+        lines.append(
+            f"{name}: {'pass' if failures == 0 else 'fail'}"
+            f" ({trials} trials, {failures} failures)"
+        )
+
+    lines.append("pi-map table (sampled subspaces):")
+    rng = random.Random(seed)
+    for k in range(min(5, trials)):
+        X = random_subspace(rng, dim)
+        types = " ".join(sorted(_fmt_type(t) for t in pi_map(X)))
+        lines.append(f"  sample {k}: dim {X.dim} -> {{{types}}}")
+    ok = all(f == 0 for _, f in checks)
+    return "\n".join(lines) + "\n", ok

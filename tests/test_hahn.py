@@ -415,6 +415,43 @@ def test_cross_multiplication_equality():
     assert HahnScalar(t0, t0 * t0) == HahnScalar(HahnSeries.constant(1), t0)
 
 
+def test_scalar_equality_agrees_with_cross_multiplication():
+    # == compares numerators alone when both sides hold one denominator
+    # object; on every kind of pair a / d == b / e must still decide as
+    # a e == b d does.  Pairs are built unreduced with _trusted, and half of them are
+    # equal in value by construction, so both verdicts occur in each kind.
+    rng = random.Random(11)
+    one = HahnSeries.constant(1)
+    seen = {}
+    for _ in range(300):
+        den = _random_multiterm_series(rng) * (one + HahnSeries.t(
+            rng.randint(0, 3)))
+        num = _random_nonzero_series(rng) * den if rng.random() < 0.3 else (
+            _random_nonzero_series(rng))
+        kind = rng.choice(["shared", "equal copy", "different"])
+        if kind == "shared":
+            other_den = den
+        elif kind == "equal copy":
+            other_den = den * one + HahnSeries.zero()
+            assert other_den == den and other_den is not den
+        else:
+            other_den = den * _random_multiterm_series(rng)
+        if rng.random() < 0.5:
+            # equal in value: num / den == num k / (den k), k = other / den
+            other_num = _exact_quotient(num * other_den, den)
+        else:
+            other_num = _random_nonzero_series(rng) * (
+                one + HahnSeries.t(rng.randint(0, 3)))
+        a = HahnScalar._trusted(num, den)
+        b = HahnScalar._trusted(other_num, other_den)
+        want = num * other_den == other_num * den
+        assert (a == b) is want and (b == a) is want
+        assert (a != b) is not want
+        seen.setdefault(kind, set()).add(want)
+    assert seen == {k: {True, False}
+                    for k in ("shared", "equal copy", "different")}
+
+
 def test_divide_by_zero():
     with pytest.raises(DivisionByZero):
         HahnScalar(HahnSeries.zero()).invert()

@@ -1,9 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import omlkit.keller
-from omlkit.cli import keller_report
 from omlkit.errors import DependentInput, DimensionMismatch, ZeroVector
 from omlkit.hahn import (
     GAMMA_ZERO,
@@ -25,6 +25,7 @@ from omlkit.keller import (
     counting_types,
     form,
     form_self,
+    keller_report,
     ortho_complement,
     orthogonalize,
     pi_map,
@@ -478,3 +479,132 @@ def test_divide_raises_on_a_pair_that_does_not_divide():
         one + t0)
     with pytest.raises(AssertionError, match="lcm step was not exact"):
         omlkit.keller._divide(one + t0, one + t1, "lcm step was not exact")
+
+
+# -- shortcuts of _reduce_vector and orthogonalize against the general routes --
+
+
+def _reference_reduce_vector(v):
+    """_reduce_vector without its lone-coordinate path: every vector clears
+    denominators, divides out its content and rescales to monic."""
+    if not v:
+        return v
+    divide, one = omlkit.keller._divide, omlkit.keller._ONE_SERIES
+    scale = one
+    for c in v.coords:
+        if c and c.den.term_count > 1:
+            scale = scale * divide(c.den, series_gcd(scale, c.den),
+                                   "lcm step was not exact")
+    nums = [
+        c.num * scale if c.den is one else divide(
+            c.num * scale, c.den, "denominator clearing was not exact")
+        for c in v.coords
+    ]
+    content = HahnSeries.zero()
+    for nm in nums:
+        if nm:
+            content = series_gcd(content, nm)
+    if content.term_count > 1:
+        nums = [
+            divide(nm, content, "content division was not exact")
+            for nm in nums
+        ]
+    else:
+        low = content.valuation()
+        if low:
+            nums = [nm.shift(-low) for nm in nums]
+    lead = next(nm for nm in nums if nm).leading_coefficient()
+    if lead != 1:
+        nums = [nm * (1 / lead) for nm in nums]
+    return KVector._of(tuple(
+        HahnScalar._trusted(nm, one) if nm else omlkit.keller._ZERO
+        for nm in nums
+    ))
+
+
+def _reference_orthogonalize(vectors):
+    """The cofactor construction with every Gram entry evaluated and every
+    output reduced, the first one included."""
+    vectors = [_reference_reduce_vector(v) for v in vectors]
+    m = len(vectors)
+    gram = [[form(a, b) for b in vectors] for a in vectors]
+    out = []
+    for k in range(m):
+        g = zero_vector(vectors[0].dim)
+        for i in range(k + 1):
+            minor = [[gram[r][c] for c in range(k + 1) if c != i]
+                     for r in range(k)]
+            sign = -1 if (k + i) % 2 else 1
+            g = g + (sign * omlkit.keller._det(minor)) * vectors[i]
+        out.append(_reference_reduce_vector(g))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_lone_coordinate_reduces_to_its_basis_vector(n):
+    one, t0, t2 = HahnSeries.constant(1), HahnSeries.t(0), HahnSeries.t(2)
+    num = HahnSeries([(GAMMA_ZERO, Fraction(-3, 2)),
+                      (GammaExp([(1, -2)]), Fraction(5, 7))])
+    lone = [
+        HahnScalar(Fraction(-2, 3)),  # a constant over 1
+        HahnScalar(num),  # two terms over 1
+        # over a monomial, which the constructor folds into the numerator
+        HahnScalar(num, HahnSeries.term(Fraction(-4, 5), GammaExp([(0, 3)]))),
+        HahnScalar(num, one + t0),  # a two-term denominator, kept as is
+        # unreduced over four terms: small pairs are left uncancelled
+        HahnScalar(num * (one - t2), (one - t2) * (one + t0)),
+    ]
+    assert lone[3].den.term_count == 2 and lone[4].den.term_count == 4
+    for i in range(n):
+        for c in lone:
+            coords = [HahnScalar(0)] * n
+            coords[i] = c
+            v = KVector(coords)
+            want = basis_vector(n, i)
+            assert _reference_reduce_vector(v) == want
+            got = omlkit.keller._reduce_vector(v)
+            assert all(a is b for a, b in zip(got.coords, want.coords))
+
+
+def test_orthogonalize_matches_the_full_cofactor_construction():
+    # short coordinates as random_subspace draws them; in families of one or
+    # two, half the time the first vector has two-term denominators instead
+    # (larger families of those make the reference's gcds take seconds)
+    rng = random.Random(41)
+    sizes, mixed = set(), 0
+    done = 0
+    while done < 60:
+        n = rng.randint(3, 5)
+        m = rng.randint(1, min(4, n))
+        vs = [KVector([omlkit.keller._sparse_scalar(rng, 3)
+                       for _ in range(n)]) for _ in range(m)]
+        fractions = m <= 2 and rng.random() < 0.5
+        if fractions:
+            vs[0] = _mixed_vector(rng, n)
+        if len(_rref([v for v in vs if v])) < m:
+            continue
+        out = orthogonalize(vs)
+        assert out == _reference_orthogonalize(vs)
+        assert out[0] == omlkit.keller._reduce_vector(vs[0])
+        sizes.add(m)
+        mixed += fractions
+        done += 1
+    assert sizes == {1, 2, 3, 4} and mixed > 5
+
+
+@pytest.mark.parametrize("m, forms", [(1, 0), (2, 3), (3, 8), (4, 15)])
+def test_orthogonalize_evaluates_only_the_gram_forms_it_reads(
+        m, forms, monkeypatch):
+    # m(m + 1)/2 - 1 Gram entries (all but the last diagonal one) and
+    # m(m - 1)/2 orthogonality checks
+    assert forms == m * (m + 1) // 2 - 1 + m * (m - 1) // 2
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return form(f, g)
+
+    vs = [_e(5, i) + _e(5, i + 1) for i in range(m)]
+    monkeypatch.setattr(omlkit.keller, "form", counting)
+    out = orthogonalize(vs)
+    assert len(out) == m and len(calls) == forms
